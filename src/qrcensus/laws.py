@@ -18,11 +18,12 @@ primality oracle over a range, in parallel if asked, with atomic resumable
 checkpoints.
 """
 
+import contextlib
 import enum
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -308,12 +309,25 @@ def _law_a2(p, q, m, k) -> LawReport:
     )
 
 
+def _rb_prime_square(p: int) -> int:
+    """r_b(p**2) for an odd prime p, from the census of p alone.
+
+    By Hensel's lemma a unit is a square mod p**2 iff it is a square mod
+    p, and no nonzero multiple of p is a square mod p**2 (p | x**2 forces
+    p**2 | x**2).  So the residues of p**2 are the units whose class mod p
+    is a residue.  [1, (p**2-1)/2] holds (p-1)/2 full blocks of p, each
+    with (p-1)/2 such units, plus one half block [kp+1, kp + (p-1)/2],
+    k = (p-1)/2, that counts r_b(p).  No census goes above p.
+    """
+    return ((p - 1) // 2) ** 2 + tallies(p).r_b
+
+
 def _law_a3(p, q) -> LawReport:
     # The estimate (r_b(p^2) + r_b(q^2))/4 is report-only, but the bound
     # r_b(pq) < pq/4 is pass/fail.
     p, q = _distinct_odd_primes(p, q, "A3_RB_SEMIPRIME")
     lhs = tallies(p * q).r_b
-    rhs = Fraction(tallies(p * p).r_b + tallies(q * q).r_b, 4)
+    rhs = Fraction(_rb_prime_square(p) + _rb_prime_square(q), 4)
     return LawReport(
         "A3_RB_SEMIPRIME",
         (("p", p), ("q", q)),
@@ -485,13 +499,20 @@ def _write_checkpoint(path, mode, lo, hi, next_unscanned, counterexamples):
         "next_unscanned": next_unscanned,
         "counterexamples": list(counterexamples),
     }
-    tmp = f"{path}.tmp"
+    # Per-process temp name: two writers never share a half-written file.
+    # fsync before the rename, so a crash leaves the old or the new
+    # checkpoint on disk, never an empty one.
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
             fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise CheckpointError(f"checkpoint write to {path} failed: {exc}") from exc
 
 
@@ -561,6 +582,10 @@ def sweep(
     hi = as_modulus(hi)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    if hi >= kernel.MAX_DENSE_MODULUS:
+        raise ValueError(
+            f"sweep supports hi < 2**31 (the dense census ceiling), got {hi}"
+        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1 or checkpoint_every < 1:
@@ -599,6 +624,9 @@ def sweep(
         for a, b in chunks:
             merge(_scan_chunk((a, b, mode.value)), b)
     else:
+        # Imported here: loading multiprocessing costs every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         window = workers * 4
         with ProcessPoolExecutor(max_workers=workers) as pool:
             inflight = {}

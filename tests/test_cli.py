@@ -128,6 +128,12 @@ class TestSweepCommand:
                                "--checkpoint", str(tmp_path / "nope" / "ck.json"))
         assert code == 2 and "checkpoint" in err
 
+    def test_range_above_census_ceiling_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--from", "3", "--to",
+                                 "2147483649")
+        assert code == 1 and out == ""
+        assert "2**31" in err and "2147483649" in err
+
 
 class TestLawsCommand:
     def test_single_law(self, capsys):
@@ -160,6 +166,18 @@ class TestLawsCommand:
     def test_unknown_law_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "laws", "--law", "L99")
         assert code == 1 and "unknown law" in err
+
+    def test_a3_censuses_stay_in_range(self, capsys):
+        # r_b(p**2) for p = 46351 would need a census of 2148415201 > 2**31
+        code, out, _ = run_cli(capsys, "laws", "--law", "A3", "--from",
+                               "139047", "--to", "139053")
+        assert code == 0
+        docs = [json.loads(ln) for ln in out.strip().splitlines()]
+        assert [d["params"] for d in docs] == [
+            {"p": 3, "q": 46349}, {"p": 3, "q": 46351},
+            {"p": 11, "q": 12641}, {"p": 211, "q": 659},
+        ]
+        assert all(d["holds"] for d in docs)
 
     def test_csv_mirror(self, capsys):
         code, out, _ = run_cli(capsys, "laws", "--law", "L7", "--from", "3",

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import brute_census
+from qrcensus import laws
 from qrcensus.census import tallies
 from qrcensus.laws import (
     LAW_IDS,
@@ -170,6 +172,41 @@ class TestLawCatalogue:
 
     def test_exact_laws_listed(self):
         assert set(EXACT_LAW_IDS) == {law for law in LAW_IDS if law.startswith("L")}
+
+
+def _odd_primes_below(bound):
+    from qrcensus.modmath import sieve_primes
+
+    return [p for p in sieve_primes(bound - 1) if p > 2]
+
+
+class TestPrimeSquareIdentity:
+    """A3's estimate uses r_b(p**2) = ((p-1)/2)**2 + r_b(p)."""
+
+    def test_matches_brute_force(self):
+        for p in _odd_primes_below(60):
+            assert laws._rb_prime_square(p) == brute_census(p * p)["r_b"], p
+
+    def test_matches_census_of_square(self, backend):
+        for p in _odd_primes_below(400):
+            r_b_p = backend.census_tallies(p, False)[0]
+            r_b_square = backend.census_tallies(p * p, False)[0]
+            assert ((p - 1) // 2) ** 2 + r_b_p == r_b_square, p
+            assert laws._rb_prime_square(p) == r_b_square, p
+
+    def test_range_bounds_every_censused_modulus(self, monkeypatch):
+        seen = []
+        real = laws.tallies
+
+        def recording(n, *args, **kwargs):
+            seen.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(laws, "tallies", recording)
+        for law in LAW_IDS:
+            for params in qualifying_params(law, 3, 1001):
+                check_law(law, **params)
+        assert seen and max(seen) <= 1001
 
 
 class TestQualifyingParams:

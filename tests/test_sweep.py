@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from qrcensus import kernel, laws
 from qrcensus.laws import (
     CheckpointError,
     SweepInterrupted,
@@ -38,11 +42,27 @@ class TestSweepBasics:
         with pytest.raises(ValueError):
             sweep(3, 9, resume=True)  # no checkpoint path
 
+    def test_rejects_hi_at_census_ceiling(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            sweep(3, kernel.MAX_DENSE_MODULUS + 1, checkpoint=str(path))
+        assert not path.exists()
+
     def test_counterexamples_stream_in_order(self):
         seen = []
         out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, chunk_size=64,
                     on_counterexample=seen.append)
         assert seen == list(out.counterexamples) == [9, 15, 27]
+
+
+class TestPoolImport:
+    def test_import_does_not_load_process_pool(self):
+        code = (
+            "import qrcensus, sys; "
+            "assert 'concurrent.futures.process' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
 class TestParallelSweep:
@@ -125,6 +145,35 @@ class TestCheckpoints:
         }))
         with pytest.raises(CheckpointError, match="inconsistent"):
             sweep(3, 501, checkpoint=str(path), resume=True)
+
+    def test_fsync_before_replace_leaves_no_temp(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(laws.os, "fsync", fsync)
+        monkeypatch.setattr(laws.os, "replace", replace)
+        path = tmp_path / "sweep.json"
+        sweep(3, 501, checkpoint=str(path), chunk_size=50, checkpoint_every=50)
+        assert calls and calls[0] == "fsync"
+        assert calls == ["fsync", "replace"] * (len(calls) // 2)
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+    def test_failed_replace_removes_temp(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(laws.os, "replace", replace)
+        with pytest.raises(CheckpointError, match="disk full"):
+            sweep(3, 501, checkpoint=str(tmp_path / "sweep.json"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_checkpoint_raises(self, tmp_path):
         target = tmp_path / "no-such-dir" / "sweep.json"
