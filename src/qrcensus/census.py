@@ -9,7 +9,7 @@ as residues, yet the small ys they occupy still count as non-residues.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
 from qrcensus.modmath import as_modulus
@@ -123,13 +123,23 @@ def census(n, want_details: bool = False, *, strategy: str = "incremental") -> R
     )
 
 
+def small_squares(n) -> Iterator[tuple]:
+    """(x, x**2 mod n) for every x in [1, (n-1)/2] whose square is nonzero.
+
+    The one square walk behind residue_details, collision_pairs and
+    collision_classes.  It checks the dense census ceiling before it walks.
+    """
+    n = as_modulus(n)
+    if n >= kernel.MAX_DENSE_MODULUS:
+        raise ValueError(f"dense census supports n < 2**31, got {n}")
+    return ((x, s) for x in range(1, (n - 1) // 2 + 1) if (s := x * x % n))
+
+
 def residue_details(n) -> tuple:
     """(y, smallest_root) for every residue of n, ascending by y."""
-    n = as_modulus(n)
     first = {}
-    for x in range(1, (n - 1) // 2 + 1):
-        s = x * x % n
-        if s and s not in first:
+    for x, s in small_squares(n):
+        if s not in first:
             first[s] = x
     return tuple(ResidueDetail(y, first[y]) for y in sorted(first))
 

@@ -2,8 +2,8 @@
 
 The compiled extension is picked when it imports; otherwise the
 pure-Python implementation takes over with the same contract.  Set
-QRCENSUS_PURE=1 to force the fallback (benchmarks/bench_backends.py
-times the two against each other).
+QRCENSUS_PURE=1 to force the fallback (perfbench/ times the backend a
+build yields, layer by layer).
 """
 
 import os

@@ -26,7 +26,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
 from qrcensus.census import tallies
@@ -115,6 +115,13 @@ def classify(n, mode: ThresholdMode = ThresholdMode.CORRECTED) -> Classification
 
 # --------------------------------------------------------------------------
 # Law catalogue
+#
+# One record per law.  Its family fixes the parameter names and their shape
+# (which values are odd primes, p < q, exponents >= 1), the modulus the law
+# censuses, and every tuple of that shape up to a bound.  The record adds
+# the side condition, whether the law is exact, and the evaluation.
+# check_law validates and qualifying_params enumerates through the same
+# shape and condition, so the two cannot drift.
 
 
 def _require(cond: bool, msg: str):
@@ -128,185 +135,106 @@ def _odd_prime(p, law: str):
     return p
 
 
-def _rel_error(lhs, rhs) -> Fraction:
-    return Fraction(abs(lhs - rhs), rhs)
+def _prime_shape(law, p):
+    return (_odd_prime(p, law),)
 
 
-def _law_l1(p) -> LawReport:
-    p = _odd_prime(p, "L1_EXACT_4K1")
-    _require(p % 4 == 1, f"L1_EXACT_4K1: need p = 1 (mod 4), got {p}")
-    lhs = tallies(p).r_b
-    rhs = (p - 1) // 4
-    return LawReport("L1_EXACT_4K1", (("p", p),), lhs, rhs, lhs == rhs)
-
-
-def _law_l2(p) -> LawReport:
-    p = _odd_prime(p, "L2_DIRICHLET_POS")
-    _require(p % 4 == 3, f"L2_DIRICHLET_POS: need p = 3 (mod 4), got {p}")
-    t = tallies(p)
-    lhs = t.r_b - t.n_b
-    return LawReport("L2_DIRICHLET_POS", (("p", p),), lhs, 0, lhs > 0)
-
-
-def _law_l3(p) -> LawReport:
-    p = _odd_prime(p, "L3_LEB_7MOD8_SUMS")
-    _require(p % 8 == 7, f"L3_LEB_7MOD8_SUMS: need p = 7 (mod 8), got {p}")
-    t = tallies(p)
-    return LawReport(
-        "L3_LEB_7MOD8_SUMS", (("p", p),), t.sum_rb, t.sum_nb, t.sum_rb == t.sum_nb
-    )
-
-
-def _law_l4(p) -> LawReport:
-    p = _odd_prime(p, "L4_LEB_7MOD8_DIFF")
-    _require(p % 8 == 7, f"L4_LEB_7MOD8_DIFF: need p = 7 (mod 8), got {p}")
-    t = tallies(p)
-    diff = t.sum_n - t.sum_r
-    lhs = Fraction(diff, p)
-    rhs = t.r_b - t.n_b
-    return LawReport(
-        "L4_LEB_7MOD8_DIFF",
-        (("p", p),),
-        lhs,
-        rhs,
-        lhs == rhs,
-        notes=(("difference_divisible_by_p", diff % p == 0),),
-    )
-
-
-def _law_l5(p) -> LawReport:
-    # Implemented orientation: sum_n - sum_r = sum_rb - sum_nb, the one that
-    # holds on data; the reversed sign is recorded in the notes.
-    p = _odd_prime(p, "L5_LEB_3MOD8_SUMS")
-    _require(p % 8 == 3, f"L5_LEB_3MOD8_SUMS: need p = 3 (mod 8), got {p}")
-    t = tallies(p)
-    lhs = t.sum_n - t.sum_r
-    rhs = t.sum_rb - t.sum_nb
-    return LawReport(
-        "L5_LEB_3MOD8_SUMS",
-        (("p", p),),
-        lhs,
-        rhs,
-        lhs == rhs,
-        notes=(("reversed_orientation_holds", t.sum_r - t.sum_n == rhs),),
-    )
-
-
-def _law_l6(p) -> LawReport:
-    p = _odd_prime(p, "L6_LEB_3MOD8_DIFF")
-    _require(p % 8 == 3, f"L6_LEB_3MOD8_DIFF: need p = 3 (mod 8), got {p}")
-    t = tallies(p)
-    diff = t.sum_n - t.sum_r
-    lhs = Fraction(3 * diff, p)
-    rhs = t.r_b - t.n_b
-    return LawReport(
-        "L6_LEB_3MOD8_DIFF",
-        (("p", p),),
-        lhs,
-        rhs,
-        lhs == rhs,
-        notes=(("difference_divisible_by_p", (3 * diff) % p == 0),),
-    )
-
-
-def _law_l7(p) -> LawReport:
-    p = _odd_prime(p, "L7_SUMRB_7MOD8")
-    _require(p % 8 == 7, f"L7_SUMRB_7MOD8: need p = 7 (mod 8), got {p}")
-    lhs = tallies(p).sum_rb
-    # (p-1)(p+1)/16 is integral for p = 7 (mod 8): 8 | p+1 and 2 | p-1.
-    rhs = (p - 1) * (p + 1) // 16
-    return LawReport("L7_SUMRB_7MOD8", (("p", p),), lhs, rhs, lhs == rhs)
-
-
-def _law_l8(p, k) -> LawReport:
-    # The bound only concerns proper powers: at k = 1 every p = 3 (mod 4)
-    # prime has r_b > (p-1)/4 (that is L2), and r_b(9) = (9-1)/4 exactly,
-    # so strictness starts at k = 2 generally and k = 3 for p = 3 (both
-    # boundaries confirmed by brute force over every power up to 30000).
-    p = _odd_prime(p, "L8_PRIMEPOWER_BOUND")
-    _require(p % 4 == 3, f"L8_PRIMEPOWER_BOUND: need p = 3 (mod 4), got {p}")
-    least_k = 3 if p == 3 else 2
-    _require(
-        k >= least_k,
-        f"L8_PRIMEPOWER_BOUND: p = {p} needs k >= {least_k}, got k={k}",
-    )
-    m = p**k
-    lhs = tallies(m).r_b
-    rhs = Fraction(m - 1, 4)
-    return LawReport("L8_PRIMEPOWER_BOUND", (("p", p), ("k", k)), lhs, rhs, lhs < rhs)
-
-
-def _distinct_odd_primes(p, q, law: str):
+def _power_shape(law, p, k):
     p = _odd_prime(p, law)
-    q = _odd_prime(q, law)
+    _require(k >= 1, f"{law}: need k >= 1, got k={k}")
+    return p, k
+
+
+def _semiprime_shape(law, p, q):
+    p, q = _odd_prime(p, law), _odd_prime(q, law)
     _require(p < q, f"{law}: need p < q, got p={p}, q={q}")
     return p, q
 
 
-def _law_l9(p, q, m, k) -> LawReport:
-    # Strictness has exactly one boundary case below 30000 (confirmed by
-    # scanning all 7111 tuples): r_b(15) = 3 = 3*r_b(5).  The smallest
-    # semiprime sits outside the law's scope, like 9 does for L8.
-    p, q = _distinct_odd_primes(p, q, "L9_PRODUCT_INEQ")
-    _require(m >= 1 and k >= 1, f"L9_PRODUCT_INEQ: need m, k >= 1, got m={m}, k={k}")
-    _require(
-        (p, q, m, k) != (3, 5, 1, 1),
-        "L9_PRODUCT_INEQ: modulus 15 attains equality (r_b(15) = 3*r_b(5)) "
-        "and is excluded",
-    )
-    lhs = tallies(p**m * q**k).r_b
-    rhs = p * tallies(p ** (m - 1) * q**k).r_b
-    return LawReport(
-        "L9_PRODUCT_INEQ",
-        (("p", p), ("q", q), ("m", m), ("k", k)),
-        lhs,
-        rhs,
-        lhs < rhs,
-    )
+def _product_shape(law, p, q, m, k):
+    p, q = _semiprime_shape(law, p, q)
+    _require(m >= 1 and k >= 1, f"{law}: need m, k >= 1, got m={m}, k={k}")
+    return p, q, m, k
 
 
-def _law_l10(a, b) -> LawReport:
-    # The mod-8 class triangle: multiplying members of two of {3, 5, 7}
-    # lands in the third class.
-    ra, rb = a % 8, b % 8
-    _require(
-        ra in (3, 5, 7) and rb in (3, 5, 7) and ra != rb,
-        f"L10_MOD8_TRIANGLE: need distinct classes from {{3, 5, 7}} (mod 8), "
-        f"got {a} = {ra} and {b} = {rb}",
-    )
-    lhs = (a * b) % 8
-    (rhs,) = {3, 5, 7} - {ra, rb}
-    return LawReport("L10_MOD8_TRIANGLE", (("a", a), ("b", b)), lhs, rhs, lhs == rhs)
+def _odd_primes(hi):
+    return [p for p in sieve_primes(hi) if p > 2]
 
 
-def _law_a1(p, k) -> LawReport:
-    p = _odd_prime(p, "A1_NH_PRIMEPOWER")
-    _require(k >= 2, f"A1_NH_PRIMEPOWER: need k >= 2, got k={k}")
-    lhs = tallies(p**k).n_h
-    rhs = p * tallies(p ** (k - 1)).n_h
-    return LawReport(
-        "A1_NH_PRIMEPOWER",
-        (("p", p), ("k", k)),
-        lhs,
-        rhs,
-        None,
-        rel_error=_rel_error(lhs, rhs),
-    )
+def _prime_powers(hi):
+    for p in _odd_primes(hi):
+        k = 1
+        while p**k <= hi:
+            yield p, k
+            k += 1
 
 
-def _law_a2(p, q, m, k) -> LawReport:
-    p, q = _distinct_odd_primes(p, q, "A2_NH_PRODUCT")
-    _require(m >= 1 and k >= 1, f"A2_NH_PRODUCT: need m, k >= 1, got m={m}, k={k}")
-    lhs = tallies(p**m * q**k).n_h
-    rhs = p * tallies(p ** (m - 1) * q**k).n_h
-    return LawReport(
-        "A2_NH_PRODUCT",
-        (("p", p), ("q", q), ("m", m), ("k", k)),
-        lhs,
-        rhs,
-        None,
-        rel_error=_rel_error(lhs, rhs),
-    )
+def _prime_pairs(hi):
+    primes = _odd_primes(hi)
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            if p * q > hi:
+                break
+            yield p, q
+
+
+def _prime_products(hi):
+    for p, q in _prime_pairs(hi):
+        m = 1
+        while p**m * q <= hi:
+            k = 1
+            while p**m * q**k <= hi:
+                yield p, q, m, k
+                k += 1
+            m += 1
+
+
+class _Family(NamedTuple):
+    names: tuple  # parameter names, in report order
+    shape: Callable  # (law, **params) -> validated values, or ValueError
+    modulus: Optional[Callable]  # values -> the modulus censused; None: no census
+    candidates: Callable  # hi -> every tuple of the shape with modulus <= hi
+
+
+_PRIME = _Family(("p",), _prime_shape, lambda p: p,
+                 lambda hi: ((p,) for p in _odd_primes(hi)))
+_PRIME_POWER = _Family(("p", "k"), _power_shape, lambda p, k: p**k, _prime_powers)
+_PRODUCT = _Family(("p", "q", "m", "k"), _product_shape,
+                   lambda p, q, m, k: p**m * q**k, _prime_products)
+_SEMIPRIME = _Family(("p", "q"), _semiprime_shape, lambda p, q: p * q, _prime_pairs)
+_CLASS_PAIR = _Family(("a", "b"), lambda law, a, b: (a, b), None,
+                      lambda hi: ((3, 5), (3, 7), (5, 7)))
+
+
+class _Law(NamedTuple):
+    family: _Family
+    exact: bool  # holds gates a run; otherwise rel_error is reported too
+    evaluate: Callable  # (tallies of the modulus, *values) -> (lhs, rhs, holds, *notes)
+    condition: Callable = lambda *values: True  # side condition beyond the shape
+    requires: str = ""  # the condition, worded for its error message
+
+
+def _class(c, m):
+    """The side condition p = c (mod m), as (condition, requires)."""
+    return (lambda p: p % m == c), f"p = {c} (mod {m})"
+
+
+def _eq(lhs, rhs, *notes):
+    return (lhs, rhs, lhs == rhs, *notes)
+
+
+def _lt(lhs, rhs):
+    return lhs, rhs, lhs < rhs
+
+
+def _rel_error(lhs, rhs) -> Fraction:
+    return Fraction(abs(lhs - rhs), rhs)
+
+
+def _leb_diff(t, p, c):
+    """L4 (c = 1) and L6 (c = 3): c*(sum_n - sum_r)/p = r_b - n_b."""
+    diff = c * (t.sum_n - t.sum_r)
+    return _eq(Fraction(diff, p), t.r_b - t.n_b, ("difference_divisible_by_p", diff % p == 0))
 
 
 def _rb_prime_square(p: int) -> int:
@@ -322,125 +250,131 @@ def _rb_prime_square(p: int) -> int:
     return ((p - 1) // 2) ** 2 + tallies(p).r_b
 
 
-def _law_a3(p, q) -> LawReport:
+_CATALOGUE = {
+    "L1_EXACT_4K1": _Law(_PRIME, True, lambda t, p: _eq(t.r_b, (p - 1) // 4), *_class(1, 4)),
+    "L2_DIRICHLET_POS": _Law(
+        _PRIME, True, lambda t, p: (t.r_b - t.n_b, 0, t.r_b > t.n_b), *_class(3, 4)
+    ),
+    "L3_LEB_7MOD8_SUMS": _Law(_PRIME, True, lambda t, p: _eq(t.sum_rb, t.sum_nb), *_class(7, 8)),
+    "L4_LEB_7MOD8_DIFF": _Law(_PRIME, True, lambda t, p: _leb_diff(t, p, 1), *_class(7, 8)),
+    # Implemented orientation: sum_n - sum_r = sum_rb - sum_nb, the one that
+    # holds on data; the reversed sign is recorded in the notes.
+    "L5_LEB_3MOD8_SUMS": _Law(
+        _PRIME,
+        True,
+        lambda t, p: _eq(
+            t.sum_n - t.sum_r,
+            t.sum_rb - t.sum_nb,
+            ("reversed_orientation_holds", t.sum_r - t.sum_n == t.sum_rb - t.sum_nb),
+        ),
+        *_class(3, 8),
+    ),
+    "L6_LEB_3MOD8_DIFF": _Law(_PRIME, True, lambda t, p: _leb_diff(t, p, 3), *_class(3, 8)),
+    # (p-1)(p+1)/16 is integral for p = 7 (mod 8): 8 | p+1 and 2 | p-1.
+    "L7_SUMRB_7MOD8": _Law(
+        _PRIME, True, lambda t, p: _eq(t.sum_rb, (p - 1) * (p + 1) // 16), *_class(7, 8)
+    ),
+    # The bound only concerns proper powers: at k = 1 every p = 3 (mod 4)
+    # prime has r_b > (p-1)/4 (that is L2), and r_b(9) = (9-1)/4 exactly,
+    # so strictness starts at k = 2 generally and k = 3 for p = 3 (both
+    # boundaries confirmed by brute force over every power up to 30000).
+    "L8_PRIMEPOWER_BOUND": _Law(
+        _PRIME_POWER,
+        True,
+        lambda t, p, k: _lt(t.r_b, Fraction(p**k - 1, 4)),
+        lambda p, k: p % 4 == 3 and k >= (3 if p == 3 else 2),
+        "p = 3 (mod 4) and k >= 2 (k >= 3 for p = 3)",
+    ),
+    # Strictness has exactly one boundary case below 30000 (confirmed by
+    # scanning all 7111 tuples): r_b(15) = 3 = 3*r_b(5).  The smallest
+    # semiprime sits outside the law's scope, like 9 does for L8.
+    "L9_PRODUCT_INEQ": _Law(
+        _PRODUCT,
+        True,
+        lambda t, p, q, m, k: _lt(t.r_b, p * tallies(p ** (m - 1) * q**k).r_b),
+        lambda *values: values != (3, 5, 1, 1),
+        "modulus != 15, which attains equality (r_b(15) = 3*r_b(5))",
+    ),
+    # The mod-8 class triangle: multiplying members of two of {3, 5, 7}
+    # lands in the third class, 15 - a%8 - b%8.
+    "L10_MOD8_TRIANGLE": _Law(
+        _CLASS_PAIR,
+        True,
+        lambda t, a, b: _eq(a * b % 8, 15 - a % 8 - b % 8),
+        lambda a, b: a % 8 != b % 8 and {a % 8, b % 8} <= {3, 5, 7},
+        "a and b in distinct classes of {3, 5, 7} (mod 8)",
+    ),
+    "A1_NH_PRIMEPOWER": _Law(
+        _PRIME_POWER,
+        False,
+        lambda t, p, k: (t.n_h, p * tallies(p ** (k - 1)).n_h, None),
+        lambda p, k: k >= 2,
+        "k >= 2",
+    ),
+    "A2_NH_PRODUCT": _Law(
+        _PRODUCT, False, lambda t, p, q, m, k: (t.n_h, p * tallies(p ** (m - 1) * q**k).n_h, None)
+    ),
     # The estimate (r_b(p^2) + r_b(q^2))/4 is report-only, but the bound
     # r_b(pq) < pq/4 is pass/fail.
-    p, q = _distinct_odd_primes(p, q, "A3_RB_SEMIPRIME")
-    lhs = tallies(p * q).r_b
-    rhs = Fraction(_rb_prime_square(p) + _rb_prime_square(q), 4)
-    return LawReport(
-        "A3_RB_SEMIPRIME",
-        (("p", p), ("q", q)),
-        lhs,
-        rhs,
-        4 * lhs < p * q,
-        rel_error=_rel_error(lhs, rhs),
-    )
-
-
-_LAWS: dict = {
-    "L1_EXACT_4K1": _law_l1,
-    "L2_DIRICHLET_POS": _law_l2,
-    "L3_LEB_7MOD8_SUMS": _law_l3,
-    "L4_LEB_7MOD8_DIFF": _law_l4,
-    "L5_LEB_3MOD8_SUMS": _law_l5,
-    "L6_LEB_3MOD8_DIFF": _law_l6,
-    "L7_SUMRB_7MOD8": _law_l7,
-    "L8_PRIMEPOWER_BOUND": _law_l8,
-    "L9_PRODUCT_INEQ": _law_l9,
-    "L10_MOD8_TRIANGLE": _law_l10,
-    "A1_NH_PRIMEPOWER": _law_a1,
-    "A2_NH_PRODUCT": _law_a2,
-    "A3_RB_SEMIPRIME": _law_a3,
+    "A3_RB_SEMIPRIME": _Law(
+        _SEMIPRIME,
+        False,
+        lambda t, p, q: (
+            t.r_b,
+            Fraction(_rb_prime_square(p) + _rb_prime_square(q), 4),
+            4 * t.r_b < p * q,
+        ),
+    ),
 }
 
-LAW_IDS = tuple(_LAWS)
+LAW_IDS = tuple(_CATALOGUE)
 _SHORT_IDS = {law.split("_", 1)[0]: law for law in LAW_IDS}
 
 #: Laws whose `holds` gates a verification run; the others only report.
-EXACT_LAW_IDS = tuple(law for law in LAW_IDS if not law.startswith("A"))
+EXACT_LAW_IDS = tuple(law for law, rec in _CATALOGUE.items() if rec.exact)
 
 
 def resolve_law_id(law_id: str) -> str:
     key = law_id.upper()
     key = _SHORT_IDS.get(key, key)
-    if key not in _LAWS:
+    if key not in _CATALOGUE:
         raise ValueError(f"unknown law {law_id!r}; known: {', '.join(LAW_IDS)}")
     return key
 
 
 def check_law(law_id: str, **params) -> LawReport:
     """Evaluate one law; violated side conditions raise ValueError."""
-    return _LAWS[resolve_law_id(law_id)](**params)
+    law_id = resolve_law_id(law_id)
+    law = _CATALOGUE[law_id]
+    family = law.family
+    values = family.shape(law_id, **params)
+    named = tuple(zip(family.names, values))
+    if not law.condition(*values):
+        got = ", ".join(f"{name}={v}" for name, v in named)
+        raise ValueError(f"{law_id}: need {law.requires}, got {got}")
+    t = tallies(family.modulus(*values)) if family.modulus else None
+    lhs, rhs, holds, *notes = law.evaluate(t, *values)
+    rel_error = None if law.exact else _rel_error(lhs, rhs)
+    return LawReport(law_id, named, lhs, rhs, holds, rel_error, tuple(notes))
 
 
 def qualifying_params(law_id: str, lo: int, hi: int) -> Iterator[dict]:
     """Parameter tuples whose modulus lies in [lo, hi] and whose side
-    conditions hold.  L10's three class pairs ignore the range."""
-    law = resolve_law_id(law_id)
+    conditions hold.  L10's three class pairs ignore the range; every other
+    law censuses its modulus, so hi must stay below the dense census
+    ceiling (ValueError before the first tuple)."""
+    law_id = resolve_law_id(law_id)
+    law = _CATALOGUE[law_id]
+    modulus = law.family.modulus
+    if modulus and hi >= kernel.MAX_DENSE_MODULUS:
+        raise ValueError(
+            f"{law_id} supports hi < 2**31 (the dense census ceiling), got {hi}"
+        )
     if hi < lo:
         return
-    if law == "L10_MOD8_TRIANGLE":
-        for a, b in ((3, 5), (3, 7), (5, 7)):
-            yield {"a": a, "b": b}
-        return
-    primes = [p for p in sieve_primes(hi) if p > 2]
-    if law in ("L1_EXACT_4K1", "L2_DIRICHLET_POS", "L3_LEB_7MOD8_SUMS",
-               "L4_LEB_7MOD8_DIFF", "L5_LEB_3MOD8_SUMS", "L6_LEB_3MOD8_DIFF",
-               "L7_SUMRB_7MOD8"):
-        mod, cls = {
-            "L1_EXACT_4K1": (4, 1),
-            "L2_DIRICHLET_POS": (4, 3),
-            "L3_LEB_7MOD8_SUMS": (8, 7),
-            "L4_LEB_7MOD8_DIFF": (8, 7),
-            "L5_LEB_3MOD8_SUMS": (8, 3),
-            "L6_LEB_3MOD8_DIFF": (8, 3),
-            "L7_SUMRB_7MOD8": (8, 7),
-        }[law]
-        for p in primes:
-            if p >= lo and p % mod == cls:
-                yield {"p": p}
-    elif law == "L8_PRIMEPOWER_BOUND":
-        for p in primes:
-            if p % 4 != 3:
-                continue
-            k = 3 if p == 3 else 2
-            while p**k <= hi:
-                if p**k >= lo:
-                    yield {"p": p, "k": k}
-                k += 1
-    elif law == "A1_NH_PRIMEPOWER":
-        for p in primes:
-            k = 2
-            while p**k <= hi:
-                if p**k >= lo:
-                    yield {"p": p, "k": k}
-                k += 1
-    elif law in ("L9_PRODUCT_INEQ", "A2_NH_PRODUCT"):
-        skip_boundary = law == "L9_PRODUCT_INEQ"
-        for i, p in enumerate(primes):
-            for q in primes[i + 1 :]:
-                if p * q > hi:
-                    break
-                m = 1
-                while p**m * q <= hi:
-                    k = 1
-                    while p**m * q**k <= hi:
-                        if p**m * q**k >= lo:
-                            params = {"p": p, "q": q, "m": m, "k": k}
-                            if not (skip_boundary and (p, q, m, k) == (3, 5, 1, 1)):
-                                yield params
-                        k += 1
-                    m += 1
-    elif law == "A3_RB_SEMIPRIME":
-        for i, p in enumerate(primes):
-            for q in primes[i + 1 :]:
-                if p * q > hi:
-                    break
-                if p * q >= lo:
-                    yield {"p": p, "q": q}
-    else:  # pragma: no cover - the catalogue above is exhaustive
-        raise AssertionError(law)
+    for values in law.family.candidates(hi):
+        if (modulus is None or modulus(*values) >= lo) and law.condition(*values):
+            yield dict(zip(law.family.names, values))
 
 
 def rb_prime_power_predicted(p: int, m: int) -> int:

@@ -21,7 +21,13 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 @dataclass(frozen=True)
 class OddModulus:
-    """A validated odd modulus n with 3 <= n < 2**62."""
+    """A validated odd modulus n with 3 <= n < 2**62.
+
+    2**62 is the ceiling of the arithmetic helpers.  Everything that
+    censuses n (census, tallies, classify, residue_details,
+    collision_pairs, collision_classes, sweep, the laws) has the lower
+    ceiling kernel.MAX_DENSE_MODULUS = 2**31 and checks it itself.
+    """
 
     n: int
 

@@ -9,6 +9,7 @@ factor's matching power, which is only possible when n is composite.
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from qrcensus.census import small_squares
 from qrcensus.modmath import as_modulus, factorize
 
 
@@ -55,10 +56,7 @@ def collision_pairs(n) -> list:
     n = as_modulus(n)
     first = {}
     out = []
-    for x in range(1, (n - 1) // 2 + 1):
-        s = x * x % n
-        if s == 0:
-            continue
+    for x, s in small_squares(n):
         b = first.get(s)
         if b is None:
             first[s] = x
@@ -70,12 +68,9 @@ def collision_pairs(n) -> list:
 def collision_classes(n) -> list:
     """Alternate presentation: (shared_square, members) for every square
     shared by at least two values of [1, (n-1)/2], ascending members."""
-    n = as_modulus(n)
     groups = {}
-    for x in range(1, (n - 1) // 2 + 1):
-        s = x * x % n
-        if s:
-            groups.setdefault(s, []).append(x)
+    for x, s in small_squares(n):
+        groups.setdefault(s, []).append(x)
     return [(s, members) for s, members in sorted(groups.items()) if len(members) > 1]
 
 

@@ -187,6 +187,23 @@ class TestLawsCommand:
         assert lines[1] == "L7_SUMRB_7MOD8,p=7,3,3,true,"
 
 
+    def test_range_above_census_ceiling_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "laws", "--law", "L1", "--to",
+                                 "3000000000")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "L1_EXACT_4K1" in err and "2**31" in err and "3000000000" in err
+
+    def test_l10_censuses_nothing_so_has_no_ceiling(self, capsys):
+        code, out, _ = run_cli(capsys, "laws", "--law", "L10", "--to",
+                               "3000000000")
+        assert code == 0
+        docs = [json.loads(ln) for ln in out.strip().splitlines()]
+        assert [d["params"] for d in docs] == [
+            {"a": 3, "b": 5}, {"a": 3, "b": 7}, {"a": 5, "b": 7}
+        ]
+
+
 class TestTableCommand:
     def test_plain(self, capsys):
         code, out, _ = run_cli(capsys, "table", "7", "--order", "residues-first")
@@ -243,6 +260,13 @@ class TestPairsCommand:
     def test_csv(self, capsys):
         _, out, _ = run_cli(capsys, "pairs", "35", "--format", "csv")
         assert out.splitlines()[1] == "6,1,1,5,7"
+
+
+    def test_modulus_above_census_ceiling_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "pairs", "2147483649")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "dense census supports n < 2**31" in err
 
 
 class TestAnnexCommand:

@@ -1,0 +1,27 @@
+"""The benchmark's tracer wraps qrcensus functions by module and name.
+
+A refactor that renames or moves one of them must fail here, in the
+ordinary test run, rather than stop a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import qrcensus  # noqa: F401  (the tracer patches after the package import)
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _patches():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, attr) for module, attr, *_ in tracer.PATCHES]
+
+
+@pytest.mark.parametrize("module, attr", _patches())
+def test_traced_entry_point_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))

@@ -234,6 +234,31 @@ class TestQualifyingParams:
             {"a": 3, "b": 5}, {"a": 3, "b": 7}, {"a": 5, "b": 7}
         ]
 
+    def test_catalogue_counts_pinned(self):
+        # tuple counts per law over [3, 3001]; each one must also validate
+        want = {
+            "L1_EXACT_4K1": 212, "L2_DIRICHLET_POS": 218,
+            "L3_LEB_7MOD8_SUMS": 109, "L4_LEB_7MOD8_DIFF": 109,
+            "L5_LEB_3MOD8_SUMS": 109, "L6_LEB_3MOD8_DIFF": 109,
+            "L7_SUMRB_7MOD8": 109, "L8_PRIMEPOWER_BOUND": 15,
+            "L9_PRODUCT_INEQ": 777, "L10_MOD8_TRIANGLE": 3,
+            "A1_NH_PRIMEPOWER": 26, "A2_NH_PRODUCT": 778,
+            "A3_RB_SEMIPRIME": 587,
+        }
+        assert tuple(want) == LAW_IDS
+        for law in LAW_IDS:
+            tuples = list(qualifying_params(law, 3, 3001))
+            assert len(tuples) == want[law], law
+            for params in tuples:
+                check_law(law, **params)  # must not raise
+
+    def test_range_above_census_ceiling_rejected_before_any_tuple(self):
+        for law in LAW_IDS:
+            if law == "L10_MOD8_TRIANGLE":  # censuses nothing
+                continue
+            with pytest.raises(ValueError, match=law):
+                next(qualifying_params(law, 3, laws.kernel.MAX_DENSE_MODULUS))
+
     def test_all_enumerated_params_satisfy_side_conditions(self):
         for law in LAW_IDS:
             for params in qualifying_params(law, 3, 301):

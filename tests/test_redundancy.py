@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from oracle import brute_census, brute_collision_pairs
-from qrcensus.census import quadratic_residue_set
+from qrcensus import kernel
+from qrcensus.census import quadratic_residue_set, residue_details
 from qrcensus.modmath import sieve_primes
 from qrcensus.redundancy import (
     CollisionPair,
@@ -87,6 +90,18 @@ class TestClasses:
         assert all(len(members) > 1 for _, members in classes)
         n_pairs = sum(len(members) - 1 for _, members in classes)
         assert n_pairs == len(collision_pairs(35))
+
+
+@pytest.mark.parametrize("helper", [collision_classes, collision_pairs, residue_details])
+def test_census_ceiling_checked_before_the_walk(helper):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+            helper(kernel.MAX_DENSE_MODULUS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_collision_census_reconciles_with_residue_census():
