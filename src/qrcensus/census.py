@@ -7,7 +7,6 @@ Values of x whose square is 0 are tracked separately and never counted
 as residues, yet the small ys they occupy still count as non-residues.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
@@ -38,8 +37,7 @@ class ResidueDetail(NamedTuple):
     smallest_root: int
 
 
-@dataclass(frozen=True)
-class ResidueCensus:
+class ResidueCensus(NamedTuple):
     n: int
     residues: frozenset
     r_b: int
@@ -123,15 +121,21 @@ def census(n, want_details: bool = False, *, strategy: str = "incremental") -> R
     )
 
 
+def _dense_modulus(n) -> int:
+    """as_modulus(n), also refusing n at or above the dense census ceiling."""
+    n = as_modulus(n)
+    if n >= kernel.MAX_DENSE_MODULUS:
+        raise ValueError(f"dense census supports n < 2**31, got {n}")
+    return n
+
+
 def small_squares(n) -> Iterator[tuple]:
     """(x, x**2 mod n) for every x in [1, (n-1)/2] whose square is nonzero.
 
     The one square walk behind residue_details, collision_pairs and
     collision_classes.  It checks the dense census ceiling before it walks.
     """
-    n = as_modulus(n)
-    if n >= kernel.MAX_DENSE_MODULUS:
-        raise ValueError(f"dense census supports n < 2**31, got {n}")
+    n = _dense_modulus(n)
     return ((x, s) for x in range(1, (n - 1) // 2 + 1) if (s := x * x % n))
 
 
@@ -148,9 +152,10 @@ def smallest_sqrt(y: int, n) -> Optional[int]:
     """Least x >= 1 with x**2 = y mod n, or None when y is a non-residue.
 
     Roots come in mirror pairs x and n-x, so the least one always lies in
-    the small half.
+    the small half.  The walk is up to (n-1)/2 steps, so n must stay below
+    the dense census ceiling like every other census.
     """
-    n = as_modulus(n)
+    n = _dense_modulus(n)
     if not 1 <= y <= n - 1:
         raise ValueError(f"y must be in [1, {n - 1}], got {y}")
     for x in range(1, (n - 1) // 2 + 1):

@@ -19,9 +19,20 @@ else:
 BACKEND = _impl.BACKEND
 MAX_DENSE_MODULUS = _impl.MAX_DENSE_MODULUS
 mul_mod = _impl.mul_mod
-small_residue_counts = _impl.small_residue_counts
 census_tallies = _impl.census_tallies
 residue_bitmap = _impl.residue_bitmap
+
+
+def small_residue_counts(lo, hi):
+    """r_b(n) for every odd n in [lo, hi], by the backend's walk.
+
+    The census ceiling is checked here, for both backends, before either
+    allocates its per-modulus table.
+    """
+    if hi >= MAX_DENSE_MODULUS:
+        raise ValueError(f"dense census supports n < 2**31, got {hi}")
+    return _impl.small_residue_counts(lo, hi)
+
 
 __all__ = [
     "BACKEND",

@@ -23,8 +23,6 @@ import enum
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -53,8 +51,7 @@ class SweepInterrupted(RuntimeError):
     """Raised by the injected-abort test hook partway through a sweep."""
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     n: int
     mode: ThresholdMode
     r_b: int
@@ -66,8 +63,7 @@ class Classification:
         return self.predicted_prime == self.oracle_prime
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     """One law evaluated at one parameter tuple.
 
     For exact laws `holds` compares lhs against rhs with the law's own
@@ -84,8 +80,7 @@ class LawReport:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(NamedTuple):
     lo: int
     hi: int
     mode: ThresholdMode
@@ -489,6 +484,15 @@ def _load_checkpoint(path, mode, lo, hi):
     return nxt, ces
 
 
+def wait(fs, return_when):
+    """concurrent.futures.wait, imported on first use like the pool.  The pool
+    loop calls it through this module name, so perfbench/tracer.py can time
+    the waits."""
+    from concurrent.futures import wait as futures_wait
+
+    return futures_wait(fs, return_when=return_when)
+
+
 def sweep(
     lo,
     hi,
@@ -558,8 +562,9 @@ def sweep(
         for a, b in chunks:
             merge(_scan_chunk((a, b, mode.value)), b)
     else:
-        # Imported here: loading multiprocessing costs every other command.
-        from concurrent.futures import ProcessPoolExecutor
+        # Imported here: concurrent.futures (with logging and threading) and
+        # multiprocessing would slow the start-up of every other command.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 
         window = workers * 4
         with ProcessPoolExecutor(max_workers=workers) as pool:

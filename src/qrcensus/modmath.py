@@ -7,7 +7,7 @@ accumulator after a single conditional subtraction.
 """
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_MODULUS = 1 << 62  # exclusive
 
@@ -19,26 +19,36 @@ TRIAL_DIVISION_CUTOFF = 1 << 16
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-@dataclass(frozen=True)
-class OddModulus:
+class _OddModulusFields(NamedTuple):
+    n: int
+
+
+class OddModulus(_OddModulusFields):
     """A validated odd modulus n with 3 <= n < 2**62.
 
     2**62 is the ceiling of the arithmetic helpers.  Everything that
     censuses n (census, tallies, classify, residue_details,
     collision_pairs, collision_classes, sweep, the laws) has the lower
     ceiling kernel.MAX_DENSE_MODULUS = 2**31 and checks it itself.
+
+    Validation runs in __new__, so construction, _make, _replace and
+    unpickling all reject a bad n.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.n
+    def __new__(cls, n):
         if isinstance(n, bool) or not isinstance(n, int):
             raise TypeError(f"modulus must be an int, got {type(n).__name__}")
         if n % 2 == 0:
             raise ValueError(f"modulus must be odd, got {n}")
         if not 3 <= n < MAX_MODULUS:
             raise ValueError(f"modulus must be in [3, 2**62), got {n}")
+        return super().__new__(cls, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __int__(self) -> int:
         return self.n

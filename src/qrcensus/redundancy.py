@@ -6,33 +6,41 @@ a**2 - b**2 = (a-b)(a+b): n divides that product without dividing either
 factor's matching power, which is only possible when n is composite.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from qrcensus.census import small_squares
 from qrcensus.modmath import as_modulus, factorize
 
 
-@dataclass(frozen=True)
-class CollisionPair:
-    """a and its least partner b with a**2 = b**2 mod n, 1 <= b < a <= (n-1)/2."""
-
+class _CollisionPairFields(NamedTuple):
     n: int
     a: int
     b: int
     shared_square: int
 
-    def __post_init__(self):
-        n = as_modulus(self.n)
-        a, b = self.a, self.b
-        if not 1 <= b < a <= (n - 1) // 2:
-            raise ValueError(f"need 1 <= b < a <= {(n - 1) // 2}, got a={a}, b={b}")
-        if a * a % n != b * b % n:
-            raise ValueError(f"{a}**2 and {b}**2 differ mod {n}")
-        if self.shared_square != a * a % n:
-            raise ValueError(
-                f"shared_square {self.shared_square} is not {a}**2 mod {n}"
-            )
+
+class CollisionPair(_CollisionPairFields):
+    """a and its least partner b with a**2 = b**2 mod n, 1 <= b < a <= (n-1)/2.
+
+    Validation runs in __new__, so construction, _make, _replace and
+    unpickling all reject an inconsistent pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, a, b, shared_square):
+        m = as_modulus(n)
+        if not 1 <= b < a <= (m - 1) // 2:
+            raise ValueError(f"need 1 <= b < a <= {(m - 1) // 2}, got a={a}, b={b}")
+        if a * a % m != b * b % m:
+            raise ValueError(f"{a}**2 and {b}**2 differ mod {m}")
+        if shared_square != a * a % m:
+            raise ValueError(f"shared_square {shared_square} is not {a}**2 mod {m}")
+        return super().__new__(cls, n, a, b, shared_square)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def witness_low(self) -> int:

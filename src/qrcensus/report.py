@@ -12,7 +12,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from qrcensus.census import quadratic_residue_set, residue_details
 from qrcensus.modmath import as_modulus, is_prime_oracle
@@ -65,8 +65,7 @@ class ExportFormat(enum.Enum):
     JSON_LINES = "jsonl"
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     n: int
     ordering: Ordering = Ordering.NATURAL
     fmt: TableFormat = TableFormat.PLAIN

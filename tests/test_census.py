@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracle import brute_census, brute_smallest_root
+from qrcensus import kernel
 from qrcensus.census import (
     census,
     n_h,
@@ -160,6 +161,14 @@ class TestSmallestSqrt:
             smallest_sqrt(0, 11)
         with pytest.raises(ValueError):
             smallest_sqrt(11, 11)
+
+    def test_refuses_modulus_above_census_ceiling(self):
+        # 4 has the root 2 at any modulus, so a missing check fails here
+        # at once instead of walking 2**60 steps in the call below.
+        with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+            smallest_sqrt(4, kernel.MAX_DENSE_MODULUS + 1)
+        with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+            smallest_sqrt(3, 2**61 + 1)
 
 
 class TestDetailsAndCounts:

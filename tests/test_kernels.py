@@ -1,6 +1,7 @@
 """Contract parity between the compiled and pure census kernels."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -99,3 +100,18 @@ def test_census_modulus_guard(backend):
         backend.census_tallies((1 << 31) + 1)
     with pytest.raises(ValueError):
         backend.residue_bitmap((1 << 31) + 1)
+
+
+def test_range_counts_ceiling_checked_before_allocating(backend, monkeypatch):
+    # kernel.small_residue_counts guards every backend; without the check
+    # the pure walk allocates a ~1 GB table for this modulus.
+    monkeypatch.setattr(kernel, "_impl", backend)
+    n = kernel.MAX_DENSE_MODULUS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+            kernel.small_residue_counts(n, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,12 +6,19 @@ import sys
 import pytest
 
 from qrcensus import kernel, laws
+from qrcensus.census import ResidueCensus
 from qrcensus.laws import (
     CheckpointError,
+    Classification,
+    LawReport,
     SweepInterrupted,
+    SweepOutcome,
     ThresholdMode,
     sweep,
 )
+from qrcensus.modmath import OddModulus
+from qrcensus.redundancy import CollisionPair
+from qrcensus.report import TableSpec
 
 
 class TestSweepBasics:
@@ -63,6 +70,51 @@ class TestPoolImport:
         )
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+    def test_cli_import_loads_no_dataclasses_pool_or_logging(self):
+        # Only what the import itself adds counts: site may preload modules.
+        code = (
+            "import sys; before = set(sys.modules); import qrcensus.cli; "
+            "heavy = {'dataclasses', 'concurrent.futures', 'logging'}; "
+            "loaded = sorted(heavy & (set(sys.modules) - before)); "
+            "assert not loaded, loaded"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+# Each public record with valid arguments, and arguments it must reject.
+_RECORDS = [
+    pytest.param(OddModulus, (7,),
+                 [((8,), ValueError), ((1,), ValueError), ((True,), TypeError),
+                  ((7.0,), TypeError)], id="OddModulus"),
+    pytest.param(ResidueCensus, (7, frozenset({1, 2, 4}), 2, 1, 1, 2, 7, 14, 3, 3, 4, 11,
+                                 frozenset()), [], id="ResidueCensus"),
+    pytest.param(Classification, (9, ThresholdMode.CORRECTED, 2, True, False), [],
+                 id="Classification"),
+    pytest.param(LawReport, ("L1_EXACT_4K1", (("p", 5),), 1, 1, True), [], id="LawReport"),
+    pytest.param(SweepOutcome, (3, 51, ThresholdMode.CORRECTED, (9,), 25, 0.5), [],
+                 id="SweepOutcome"),
+    pytest.param(CollisionPair, (35, 6, 1, 1),
+                 [((35, 6, 2, 1), ValueError), ((35, 1, 6, 1), ValueError),
+                  ((35, 6, 1, 2), ValueError), ((36, 6, 1, 1), ValueError),
+                  ((35.0, 6, 1, 1), TypeError)], id="CollisionPair"),
+    pytest.param(TableSpec, (7,), [], id="TableSpec"),
+]
+
+
+@pytest.mark.parametrize("record, args, rejects", _RECORDS)
+def test_records_are_immutable_validated_values(record, args, rejects):
+    rec = record(*args)
+    with pytest.raises(AttributeError):
+        setattr(rec, record._fields[0], args[0])
+    twin = record(*args)
+    assert rec == twin and hash(rec) == hash(twin)
+    for bad, exc in rejects:
+        with pytest.raises(exc):
+            record(*bad)
+        with pytest.raises(exc):
+            rec._replace(**dict(zip(record._fields, bad)))
 
 
 class TestParallelSweep:
