@@ -1,23 +1,20 @@
 """Build the optional compiled census kernel.
 
-The package is fully functional without it (a pure-Python fallback is
-selected at import time); set QRCENSUS_NO_EXT=1 to skip compilation.
+The extension is compiled exactly when Cython imports.  The package is
+fully functional without it: kernel.py selects the pure-Python fallback
+at import time.
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if not os.environ.get("QRCENSUS_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/qrcensus/_speedups.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        pass
+try:
+    from Cython.Build import cythonize
+except ImportError:
+    ext_modules = []
+else:
+    ext_modules = cythonize(
+        ["src/qrcensus/_speedups.pyx"],
+        compiler_directives={"language_level": "3"},
+    )
 
 setup(ext_modules=ext_modules)

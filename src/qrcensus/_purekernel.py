@@ -27,15 +27,6 @@ def _check_modulus(n):
         raise ValueError(f"dense census supports n < 2**31, got {n}")
 
 
-def mul_mod(a, b, n):
-    """a*b mod n; mirrors the compiled kernel's range checks."""
-    if n < 2 or n >= 1 << 62:
-        raise ValueError(f"modulus must be in [2, 2**62), got {n}")
-    if not 0 <= a < n or not 0 <= b < n:
-        raise ValueError(f"operands must be in [0, {n}), got {a}, {b}")
-    return a * b % n
-
-
 def small_residue_counts(lo, hi):
     """r_b(n) for every odd n in [lo, hi], by the incremental-square walk.
 

@@ -27,15 +27,6 @@ cdef inline u64 _mulmod(u64 a, u64 b, u64 n) nogil:
     return <u64>((<u128>a * <u128>b) % <u128>n)
 
 
-def mul_mod(long long a, long long b, long long n):
-    """a*b mod n through a 128-bit intermediate; needs 0 <= a, b < n < 2**62."""
-    if n < 2 or n >= (<i64>1) << 62:
-        raise ValueError(f"modulus must be in [2, 2**62), got {n}")
-    if a < 0 or a >= n or b < 0 or b >= n:
-        raise ValueError(f"operands must be in [0, {n}), got {a}, {b}")
-    return <i64>_mulmod(<u64>a, <u64>b, <u64>n)
-
-
 def small_residue_counts(long long lo, long long hi):
     """r_b(n) for every odd n in [lo, hi], by the incremental-square walk."""
     if lo % 2 == 0 or hi % 2 == 0 or not 3 <= lo <= hi:

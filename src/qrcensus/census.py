@@ -13,8 +13,6 @@ from typing import Iterator, NamedTuple, Optional
 from qrcensus import kernel
 from qrcensus.modmath import as_modulus
 
-STRATEGIES = ("incremental", "naive")
-
 
 class CensusTallies(NamedTuple):
     """The ten counts/sums of one census, plus the small zero-square roots."""
@@ -54,30 +52,20 @@ class ResidueCensus(NamedTuple):
     details: Optional[tuple] = None
 
 
-def _check_strategy(strategy):
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-
-
 @lru_cache(maxsize=65536)
 def _incremental_tallies(n):
     t = kernel.census_tallies(n)
     return CensusTallies(*t[:10], tuple(t[10]))
 
 
-def tallies(n, *, strategy: str = "incremental") -> CensusTallies:
+def tallies(n) -> CensusTallies:
     """Census counts and sums without materializing the residue set.
 
-    "incremental" maintains x**2 mod n by adding 2x+1 and conditionally
-    subtracting n; "naive" squares with mul_mod.  They must agree; both
-    stay available so each can audit the other.
+    The kernel maintains x**2 mod n by adding 2x+1 and conditionally
+    subtracting n.  Its naive mode, which squares outright, stays behind
+    kernel.census_tallies(n, True) so the tests can audit the walk.
     """
-    n = as_modulus(n)
-    _check_strategy(strategy)
-    if strategy == "incremental":
-        return _incremental_tallies(n)
-    t = kernel.census_tallies(n, True)
-    return CensusTallies(*t[:10], tuple(t[10]))
+    return _incremental_tallies(as_modulus(n))
 
 
 def _iter_bits(bitmap):
@@ -90,22 +78,20 @@ def _iter_bits(bitmap):
                 byte ^= low
 
 
-def quadratic_residue_set(n, *, strategy: str = "incremental") -> frozenset:
+def quadratic_residue_set(n) -> frozenset:
     """All nonzero quadratic residues of n, i.e. {x**2 mod n} \\ {0} for
     x in [1, (n-1)/2] (x and n-x square to the same value)."""
-    n = as_modulus(n)
-    _check_strategy(strategy)
-    return frozenset(_iter_bits(kernel.residue_bitmap(n, strategy == "naive")))
+    return frozenset(_iter_bits(kernel.residue_bitmap(as_modulus(n))))
 
 
-def census(n, want_details: bool = False, *, strategy: str = "incremental") -> ResidueCensus:
+def census(n, want_details: bool = False) -> ResidueCensus:
     """The full census record of n; want_details adds (y, smallest_root)
     rows for every residue."""
     n = as_modulus(n)
-    t = tallies(n, strategy=strategy)
+    t = tallies(n)
     return ResidueCensus(
         n=n,
-        residues=quadratic_residue_set(n, strategy=strategy),
+        residues=quadratic_residue_set(n),
         r_b=t.r_b,
         n_b=t.n_b,
         r_h=t.r_h,
@@ -158,10 +144,7 @@ def smallest_sqrt(y: int, n) -> Optional[int]:
     n = _dense_modulus(n)
     if not 1 <= y <= n - 1:
         raise ValueError(f"y must be in [1, {n - 1}], got {y}")
-    for x in range(1, (n - 1) // 2 + 1):
-        if x * x % n == y:
-            return x
-    return None
+    return next((x for x, s in small_squares(n) if s == y), None)
 
 
 def small_residue_count(n) -> int:

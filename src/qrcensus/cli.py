@@ -68,7 +68,11 @@ def _diag(msg):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qrcensus", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"qrcensus {__version__}")
+    backend = kernel.BACKEND
+    if kernel.FALLBACK_REASON:
+        backend += f"; {kernel.FALLBACK_REASON}"
+    parser.add_argument("--version", action="version",
+                        version=f"qrcensus {__version__} (kernel: {backend})")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p, formats, default):

@@ -1,24 +1,23 @@
 """Census kernel backend selection.
 
-The compiled extension is picked when it imports; otherwise the
-pure-Python implementation takes over with the same contract.  Set
-QRCENSUS_PURE=1 to force the fallback (perfbench/ times the backend a
-build yields, layer by layer).
+The compiled extension runs exactly when it imports, that is when
+setup.py found Cython at build time; otherwise the pure-Python
+implementation takes over with the same contract.  FALLBACK_REASON keeps
+the ImportError text that forced the fallback (None for the compiled
+backend), and `qrcensus --version` prints both.
 """
 
-import os
+try:
+    import qrcensus._speedups as _impl
 
-if os.environ.get("QRCENSUS_PURE"):
-    from qrcensus import _purekernel as _impl
-else:
-    try:
-        from qrcensus import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from qrcensus import _purekernel as _impl  # type: ignore[no-redef]
+    FALLBACK_REASON = None
+except ImportError as exc:
+    from qrcensus import _purekernel as _impl  # type: ignore[no-redef]
+
+    FALLBACK_REASON = str(exc)
 
 BACKEND = _impl.BACKEND
 MAX_DENSE_MODULUS = _impl.MAX_DENSE_MODULUS
-mul_mod = _impl.mul_mod
 census_tallies = _impl.census_tallies
 residue_bitmap = _impl.residue_bitmap
 
@@ -36,8 +35,8 @@ def small_residue_counts(lo, hi):
 
 __all__ = [
     "BACKEND",
+    "FALLBACK_REASON",
     "MAX_DENSE_MODULUS",
-    "mul_mod",
     "small_residue_counts",
     "census_tallies",
     "residue_bitmap",

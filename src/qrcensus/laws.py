@@ -24,6 +24,7 @@ import json
 import os
 import time
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
@@ -45,10 +46,6 @@ class ThresholdMode(enum.Enum):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file unusable: unreadable, unwritable, or inconsistent."""
-
-
-class SweepInterrupted(RuntimeError):
-    """Raised by the injected-abort test hook partway through a sweep."""
 
 
 class Classification(NamedTuple):
@@ -165,7 +162,8 @@ def _prime_powers(hi):
 
 
 def _prime_pairs(hi):
-    primes = _odd_primes(hi)
+    # p < q are odd primes, so p >= 3 and q <= hi/3.
+    primes = _odd_primes(hi // 3)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
             if p * q > hi:
@@ -455,6 +453,11 @@ def _load_checkpoint(path, mode, lo, hi):
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path}: not a JSON object")
+    # JSON true/false load as bools, which pass for 1/0 in every int test.
+    ces = doc.get("counterexamples")
+    ints = [doc.get(k) for k in ("schema_version", "lo", "hi", "next_unscanned")]
+    if any(isinstance(v, bool) for v in ints + (ces if isinstance(ces, list) else [])):
+        raise CheckpointError(f"checkpoint {path}: a bool where an int belongs")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint {path}: unsupported schema_version "
@@ -470,7 +473,6 @@ def _load_checkpoint(path, mode, lo, hi):
             f"does not match [{lo}, {hi}]"
         )
     nxt = doc.get("next_unscanned")
-    ces = doc.get("counterexamples")
     if (
         not isinstance(nxt, int)
         or nxt % 2 == 0
@@ -504,7 +506,6 @@ def sweep(
     chunk_size: int = DEFAULT_CHUNK,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     on_counterexample: Optional[Callable] = None,
-    _abort_after_chunks: Optional[int] = None,
 ) -> SweepOutcome:
     """Classify every odd n in [lo, hi]; collect the n where verdict and
     oracle disagree, ascending regardless of worker scheduling.
@@ -540,25 +541,24 @@ def sweep(
 
     next_unscanned = start
     since_checkpoint = 0
-    merged_chunks = 0
 
     def merge(bad, chunk_end):
-        nonlocal next_unscanned, since_checkpoint, merged_chunks
+        nonlocal next_unscanned, since_checkpoint
         for n in bad:
             found.append(n)
             if on_counterexample is not None:
                 on_counterexample(n)
         since_checkpoint += (chunk_end + 2 - next_unscanned) // 2
         next_unscanned = chunk_end + 2
-        merged_chunks += 1
         if checkpoint and since_checkpoint >= checkpoint_every:
             _write_checkpoint(checkpoint, mode, lo, hi, next_unscanned, found)
             since_checkpoint = 0
-        if _abort_after_chunks is not None and merged_chunks >= _abort_after_chunks:
-            raise SweepInterrupted(f"aborted after {merged_chunks} chunks")
 
-    chunks = list(_chunk_ranges(start, hi, chunk_size))
-    if workers == 1 or len(chunks) <= 1:
+    # A long sweep has millions of chunks: generate them as they are
+    # scanned, never as a list.  A rest of the range that fits one chunk
+    # gains nothing from a pool.
+    chunks = _chunk_ranges(start, hi, chunk_size)
+    if workers == 1 or start + 2 * (chunk_size - 1) >= hi:
         for a, b in chunks:
             merge(_scan_chunk((a, b, mode.value)), b)
     else:
@@ -567,21 +567,22 @@ def sweep(
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 
         window = workers * 4
+        numbered = enumerate(chunks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            inflight = {}
-            results = {}
-            submitted = 0
+            inflight = {}  # future -> (chunk index, chunk end)
+            results = {}  # chunk index -> (bad, chunk end)
             next_merge = 0
-            while next_merge < len(chunks):
-                while submitted < len(chunks) and len(inflight) < window:
-                    a, b = chunks[submitted]
-                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = submitted
-                    submitted += 1
+            while True:
+                for i, (a, b) in islice(numbered, window - len(inflight)):
+                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                if not inflight:
+                    break
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    results[inflight.pop(fut)] = fut.result()
+                    i, b = inflight.pop(fut)
+                    results[i] = fut.result(), b
                 while next_merge in results:
-                    merge(results.pop(next_merge), chunks[next_merge][1])
+                    merge(*results.pop(next_merge))
                     next_merge += 1
 
     if checkpoint:

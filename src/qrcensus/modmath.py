@@ -1,9 +1,10 @@
 """Exact modular arithmetic and the primality oracle.
 
 Everything here works on plain Python integers, so no operation can
-overflow; the modulus ceiling of 2**62 exists for the compiled census
-kernel, whose incremental-square walk must stay inside a signed 64-bit
-accumulator after a single conditional subtraction.
+overflow.  The modulus ceiling of 2**62 is the contract of these helpers
+alone, well inside the range the Miller-Rabin witnesses cover; anything
+that censuses a modulus has the lower ceiling kernel.MAX_DENSE_MODULUS
+= 2**31 and checks it itself.
 """
 
 import operator
@@ -79,8 +80,7 @@ def mul_mod(a: int, b: int, n) -> int:
     """a*b mod n for 0 <= a, b < n.
 
     Python integers are unbounded, so the double-width intermediate the
-    contract asks for is automatic here; the compiled kernel's 128-bit
-    version is checked against this one.
+    contract asks for is automatic here.
     """
     n = _any_modulus(n)
     if not 0 <= a < n or not 0 <= b < n:

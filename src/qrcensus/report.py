@@ -28,6 +28,9 @@ PLAIN_MARK = "*"
 #: byte.  smallest_sqrt() itself is unaffected (2**2 = 4 mod 33).
 ANNEX2_ROOT_OVERRIDES = {(33, 4): 13}
 
+#: Couples per row of the annex 1 listing, as in the archived listing.
+ANNEX1_PAIRS_PER_LINE = 11
+
 CENSUS_FIELDS = (
     "n", "r_b", "n_b", "r_h", "n_h",
     "sum_r", "sum_n", "sum_rb", "sum_nb", "sum_rh", "sum_nh",
@@ -217,17 +220,17 @@ def render_annex2(lo: int = 3, hi: int = 51) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_annex1(n: int = 175, per_line: int = 11) -> str:
+def render_annex1(n: int = 175) -> str:
     """The square-collision listing for n: couples (a, b) with equal
-    squares ascending by a, wrapped per_line to a row, then the
+    squares ascending by a, ANNEX1_PAIRS_PER_LINE to a row, then the
     zero-square roots of the small half."""
     n = as_modulus(n)
     pairs = collision_pairs(n)
     lines = []
-    for i in range(0, len(pairs), per_line):
-        chunk = pairs[i : i + per_line]
-        text = ", ".join(f"({p.a},{p.b})" for p in chunk)
-        lines.append(text + ("." if i + per_line >= len(pairs) else ","))
+    for i in range(0, len(pairs), ANNEX1_PAIRS_PER_LINE):
+        end = i + ANNEX1_PAIRS_PER_LINE
+        text = ", ".join(f"({p.a},{p.b})" for p in pairs[i:end])
+        lines.append(text + ("." if end >= len(pairs) else ","))
     if not pairs:
         lines.append("no squares collide.")
     half = (n - 1) // 2

@@ -76,14 +76,6 @@ class TestCensusRecord:
             assert c.sum_r + c.sum_n == n * (n - 1) // 2
             assert 0 not in c.residues
 
-    def test_strategies_agree(self):
-        for n in range(3, 1002, 2):
-            assert tallies(n) == tallies(n, strategy="naive"), n
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            census(7, strategy="guess")
-
     def test_details(self):
         c = census(11, want_details=True)
         assert [(d.y, d.smallest_root) for d in c.details] == [

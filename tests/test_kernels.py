@@ -63,27 +63,6 @@ def test_backends_agree_pairwise():
         assert a.residue_bitmap(n) == b.residue_bitmap(n), n
 
 
-def test_mul_mod_against_bigint(backend):
-    rng = random.Random(0xC0FFEE)
-    for _ in range(100_000):
-        n = rng.randrange(3, 1 << 62, 2)
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        assert backend.mul_mod(a, b, n) == a * b % n
-    # pinned corner: operands near the modulus ceiling
-    n = (1 << 62) - 1
-    assert backend.mul_mod(n - 1, n - 1, n) == (n - 1) * (n - 1) % n
-
-
-def test_mul_mod_validation(backend):
-    with pytest.raises(ValueError):
-        backend.mul_mod(0, 0, 1)
-    with pytest.raises(ValueError):
-        backend.mul_mod(1, 1, 1 << 62)
-    with pytest.raises(ValueError):
-        backend.mul_mod(5, 0, 5)
-
-
 def test_range_validation(backend):
     with pytest.raises(ValueError):
         backend.small_residue_counts(4, 9)

@@ -259,6 +259,21 @@ class TestQualifyingParams:
             with pytest.raises(ValueError, match=law):
                 next(qualifying_params(law, 3, laws.kernel.MAX_DENSE_MODULUS))
 
+    @pytest.mark.parametrize("law", ["A2_NH_PRODUCT", "A3_RB_SEMIPRIME", "L9_PRODUCT_INEQ"])
+    def test_two_prime_families_sieve_to_a_third(self, law, monkeypatch):
+        # p < q are odd primes with p*q <= hi, so q <= hi/3
+        limits = []
+        real = laws.sieve_primes
+
+        def recording(limit):
+            limits.append(limit)
+            return real(limit)
+
+        monkeypatch.setattr(laws, "sieve_primes", recording)
+        hi = 30001
+        assert list(qualifying_params(law, 3, hi))
+        assert limits and max(limits) <= hi // 3
+
     def test_all_enumerated_params_satisfy_side_conditions(self):
         for law in LAW_IDS:
             for params in qualifying_params(law, 3, 301):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,6 @@ from qrcensus.laws import (
     CheckpointError,
     Classification,
     LawReport,
-    SweepInterrupted,
     SweepOutcome,
     ThresholdMode,
     sweep,
@@ -19,6 +19,26 @@ from qrcensus.laws import (
 from qrcensus.modmath import OddModulus
 from qrcensus.redundancy import CollisionPair
 from qrcensus.report import TableSpec
+
+
+class _Stop(Exception):
+    """Stands in for an interrupt that lands right after a checkpoint."""
+
+
+def _stop_after_writes(monkeypatch, writes):
+    """Make laws._write_checkpoint raise _Stop once its `writes`-th real
+    write is on disk; later writes go through."""
+    real = laws._write_checkpoint
+    done = 0
+
+    def write(*args):
+        nonlocal done
+        real(*args)
+        done += 1
+        if done == writes:
+            raise _Stop
+
+    monkeypatch.setattr(laws, "_write_checkpoint", write)
 
 
 class TestSweepBasics:
@@ -154,12 +174,13 @@ class TestCheckpoints:
         assert out.counterexamples == (9,)
         assert out.scanned == 250
 
-    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path):
+    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.json"
         uninterrupted = sweep(3, 3001, ThresholdMode.FLOOR_GEQ)
-        with pytest.raises(SweepInterrupted):
+        _stop_after_writes(monkeypatch, 4)
+        with pytest.raises(_Stop):
             sweep(3, 3001, ThresholdMode.FLOOR_GEQ, checkpoint=str(path),
-                  chunk_size=100, checkpoint_every=100, _abort_after_chunks=4)
+                  chunk_size=100, checkpoint_every=100)
         partial = json.loads(path.read_text())
         assert partial["next_unscanned"] < 3002
         resumed = sweep(3, 3001, ThresholdMode.FLOOR_GEQ, checkpoint=str(path),
@@ -198,6 +219,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="inconsistent"):
             sweep(3, 501, checkpoint=str(path), resume=True)
 
+    def test_bool_in_int_field_rejected(self, tmp_path):
+        # true == 1, so a bool schema_version would pass an equality test
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "schema_version": True, "mode": "corrected", "lo": 3, "hi": 501,
+            "next_unscanned": 3, "counterexamples": [],
+        }))
+        with pytest.raises(CheckpointError, match="bool"):
+            sweep(3, 501, checkpoint=str(path), resume=True)
+
     def test_fsync_before_replace_leaves_no_temp(self, tmp_path, monkeypatch):
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
@@ -232,13 +263,13 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="write"):
             sweep(3, 501, checkpoint=str(target))
 
-    def test_parallel_interrupt_then_parallel_resume(self, tmp_path):
+    def test_parallel_interrupt_then_parallel_resume(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.json"
         uninterrupted = sweep(3, 4001, ThresholdMode.STRICT_QUARTER)
-        with pytest.raises(SweepInterrupted):
+        _stop_after_writes(monkeypatch, 7)
+        with pytest.raises(_Stop):
             sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=3,
-                  checkpoint=str(path), chunk_size=50, checkpoint_every=50,
-                  _abort_after_chunks=7)
+                  checkpoint=str(path), chunk_size=50, checkpoint_every=50)
         resumed = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=3,
                         checkpoint=str(path), resume=True, chunk_size=50)
         assert resumed.counterexamples == uninterrupted.counterexamples
@@ -246,3 +277,36 @@ class TestCheckpoints:
     def test_single_chunk_with_many_workers(self):
         out = sweep(3, 101, workers=4, chunk_size=10_000)
         assert out.counterexamples == (9,)
+
+
+class TestChunkStreaming:
+    # 200,000 one-modulus chunks: held as a list they take about 25 MB.
+
+    def test_serial_sweep_does_not_hold_its_chunks(self, tmp_path, monkeypatch):
+        _stop_after_writes(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                sweep(3, 400001, chunk_size=1, checkpoint_every=1,
+                      checkpoint=str(tmp_path / "sweep.json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_pool_sweep_draws_chunks_as_it_submits(self, tmp_path, monkeypatch):
+        drawn = 0
+        real = laws._chunk_ranges
+
+        def counting(*args):
+            nonlocal drawn
+            for chunk in real(*args):
+                drawn += 1
+                yield chunk
+
+        monkeypatch.setattr(laws, "_chunk_ranges", counting)
+        _stop_after_writes(monkeypatch, 1)
+        with pytest.raises(_Stop):
+            sweep(3, 400001, workers=2, chunk_size=1, checkpoint_every=1,
+                  checkpoint=str(tmp_path / "sweep.json"))
+        assert 0 < drawn < 1000
