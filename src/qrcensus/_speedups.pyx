@@ -18,13 +18,6 @@ BACKEND = "compiled"
 MAX_DENSE_MODULUS = 1 << 31
 
 ctypedef long long i64
-ctypedef unsigned long long u64
-
-cdef extern from *:
-    ctypedef unsigned long long u128 "unsigned __int128"
-
-cdef inline u64 _mulmod(u64 a, u64 b, u64 n) nogil:
-    return <u64>((<u128>a * <u128>b) % <u128>n)
 
 
 def small_residue_counts(long long lo, long long hi):
@@ -65,7 +58,7 @@ def small_residue_counts(long long lo, long long hi):
     return out
 
 
-cdef unsigned char *_mark(i64 n, bint naive, list zeros) except NULL:
+cdef unsigned char *_mark(i64 n, list zeros) except NULL:
     """Bit-packed table of nonzero squares of [1, (n-1)/2]; zero-square x
     values are appended to `zeros`.  Caller frees."""
     cdef size_t nbytes = <size_t>(n >> 3) + 1
@@ -74,25 +67,17 @@ cdef unsigned char *_mark(i64 n, bint naive, list zeros) except NULL:
         raise MemoryError()
     cdef i64 half = (n - 1) >> 1
     cdef i64 x, s, add
-    if naive:
-        for x in range(1, half + 1):
-            s = <i64>_mulmod(<u64>x, <u64>x, <u64>n)
-            if s != 0:
-                marked[s >> 3] |= <unsigned char>(1 << (s & 7))
-            else:
-                zeros.append(x)
-    else:
-        s = 0
-        add = -1
-        for x in range(1, half + 1):
-            add += 2
-            s += add
-            if s >= n:
-                s -= n
-            if s != 0:
-                marked[s >> 3] |= <unsigned char>(1 << (s & 7))
-            else:
-                zeros.append(x)
+    s = 0
+    add = -1
+    for x in range(1, half + 1):
+        add += 2
+        s += add
+        if s >= n:
+            s -= n
+        if s != 0:
+            marked[s >> 3] |= <unsigned char>(1 << (s & 7))
+        else:
+            zeros.append(x)
     return marked
 
 
@@ -104,7 +89,7 @@ cdef int _check_modulus(i64 n) except -1:
     return 0
 
 
-def census_tallies(long long n, bint naive=False):
+def census_tallies(long long n):
     """Counts and sums of the residue census of n.
 
     Returns (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh,
@@ -113,7 +98,7 @@ def census_tallies(long long n, bint naive=False):
     """
     _check_modulus(n)
     cdef list zeros = []
-    cdef unsigned char *marked = _mark(n, naive, zeros)
+    cdef unsigned char *marked = _mark(n, zeros)
     cdef i64 half = (n - 1) >> 1
     cdef i64 y, r_b = 0, r_h = 0, sum_rb = 0, sum_rh = 0
     try:
@@ -137,12 +122,12 @@ def census_tallies(long long n, bint naive=False):
     return (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh, zeros)
 
 
-def residue_bitmap(long long n, bint naive=False):
+def residue_bitmap(long long n):
     """Bit-packed residue membership: bit y is set iff y in [1, n-1] is a
     nonzero quadratic residue of n."""
     _check_modulus(n)
     cdef list zeros = []
-    cdef unsigned char *marked = _mark(n, naive, zeros)
+    cdef unsigned char *marked = _mark(n, zeros)
     try:
         return PyBytes_FromStringAndSize(<char *>marked, <Py_ssize_t>((n >> 3) + 1))
     finally:

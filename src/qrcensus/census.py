@@ -62,8 +62,8 @@ def tallies(n) -> CensusTallies:
     """Census counts and sums without materializing the residue set.
 
     The kernel maintains x**2 mod n by adding 2x+1 and conditionally
-    subtracting n.  Its naive mode, which squares outright, stays behind
-    kernel.census_tallies(n, True) so the tests can audit the walk.
+    subtracting n; the tests check it against the brute force in
+    tests/oracle.py, which squares outright.
     """
     return _incremental_tallies(as_modulus(n))
 

@@ -252,6 +252,8 @@ def _cmd_table(args, out):
 
 
 def _cmd_pairs(args, out):
+    if args.classes and args.format != "json":
+        raise ValueError("--classes is only available with --format json")
     n = args.n
     pairs = collision_pairs(n)
     zeros_full = sorted(zero_square_roots(n))

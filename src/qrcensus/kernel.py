@@ -2,9 +2,10 @@
 
 The compiled extension runs exactly when it imports, that is when
 setup.py found Cython at build time; otherwise the pure-Python
-implementation takes over with the same contract.  FALLBACK_REASON keeps
-the ImportError text that forced the fallback (None for the compiled
-backend), and `qrcensus --version` prints both.
+implementation takes over with the same contract, held to the brute
+force in tests/oracle.py.  FALLBACK_REASON keeps the ImportError text
+that forced the fallback (None for compiled), and `qrcensus --version`
+prints both.
 """
 
 try:

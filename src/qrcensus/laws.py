@@ -510,12 +510,13 @@ def sweep(
     """Classify every odd n in [lo, hi]; collect the n where verdict and
     oracle disagree, ascending regardless of worker scheduling.
 
-    The range is cut into contiguous chunks consumed by a process pool
-    (workers=1 stays in-process); results merge in range order, so
-    on_counterexample fires in ascending order too.  With a checkpoint
-    path, progress is persisted atomically (temp file + rename) every
-    checkpoint_every moduli; resume=True picks an interrupted run back up
-    and rejects any checkpoint whose schema, mode or range does not match.
+    The range is cut into contiguous chunks consumed by a process pool of
+    at most as many workers as usable CPUs (workers=1 stays in-process);
+    results merge in range order, so on_counterexample fires in ascending
+    order too.  With a checkpoint path, progress is persisted atomically
+    (temp file + rename) every checkpoint_every moduli; resume=True picks
+    an interrupted run back up and rejects any checkpoint whose schema,
+    mode or range does not match.
     """
     lo = as_modulus(lo)
     hi = as_modulus(hi)
@@ -531,6 +532,12 @@ def sweep(
         raise ValueError("chunk_size and checkpoint_every must be >= 1")
     if resume and not checkpoint:
         raise ValueError("resume=True needs a checkpoint path")
+    # The pool forks all of its workers at the first submit, so it gets no
+    # more of them than there are CPUs this process may run on.
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    else:
+        workers = min(workers, os.cpu_count() or 1)
 
     t0 = time.perf_counter()
     start = lo

@@ -46,6 +46,20 @@ def brute_census(n):
     }
 
 
+def brute_kernel_census(n):
+    """brute_census(n) in the kernel's formats: the census_tallies tuple
+    (zero-square roots as an ascending list) and the residue_bitmap bytes."""
+    c = brute_census(n)
+    tallies = tuple(c[k] for k in (
+        "r_b", "n_b", "r_h", "n_h", "sum_r", "sum_n", "sum_rb", "sum_nb",
+        "sum_rh", "sum_nh",
+    )) + (sorted(c["zero_square_roots"]),)
+    bitmap = bytearray((n >> 3) + 1)
+    for y in c["residues"]:
+        bitmap[y >> 3] |= 1 << (y & 7)
+    return tallies, bytes(bitmap)
+
+
 def brute_smallest_root(y, n):
     for x in range(1, n):
         if x * x % n == y:

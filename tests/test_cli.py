@@ -252,6 +252,13 @@ class TestPairsCommand:
         doc = json.loads(out)
         assert {"shared_square": 1, "members": [1, 6]} in doc["classes"]
 
+    def test_classes_needs_json(self, capsys):
+        for fmt in ("csv", "plain"):
+            code, out, err = run_cli(capsys, "pairs", "35", "--classes",
+                                     "--format", fmt)
+            assert code == 1 and out == ""
+            assert "--classes is only available with --format json" in err
+
     def test_plain_witness_lines(self, capsys):
         _, out, _ = run_cli(capsys, "pairs", "35", "--format", "plain")
         assert "(16-9)(16+9) = 7*25 = 175 and 35 | 175" in out

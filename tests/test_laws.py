@@ -189,8 +189,8 @@ class TestPrimeSquareIdentity:
 
     def test_matches_census_of_square(self, backend):
         for p in _odd_primes_below(400):
-            r_b_p = backend.census_tallies(p, False)[0]
-            r_b_square = backend.census_tallies(p * p, False)[0]
+            r_b_p = backend.census_tallies(p)[0]
+            r_b_square = backend.census_tallies(p * p)[0]
             assert ((p - 1) // 2) ** 2 + r_b_p == r_b_square, p
             assert laws._rb_prime_square(p) == r_b_square, p
 

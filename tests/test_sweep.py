@@ -151,6 +151,35 @@ class TestParallelSweep:
               on_counterexample=seen.append)
         assert seen == [9, 15, 27]
 
+    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch):
+        # A stand-in pool that records its size and runs each chunk inline:
+        # a real pool would fork every requested worker at its first submit.
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, workers=10**6, chunk_size=50)
+        assert sizes == [3]
+        assert out.counterexamples == (9, 15, 27)
+
 
 class TestCheckpoints:
     def test_checkpoint_written_and_complete(self, tmp_path):
