@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=int, required=True, metavar="A")
     p.add_argument("--to", dest="hi", type=int, required=True, metavar="B")
     p.add_argument("--mode", choices=sorted(_MODES), default="corrected")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="scanning processes: this one plus a pool of JOBS - 1 "
+                        "workers, at most one per usable CPU (default 1)")
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--resume", action="store_true")
     add_common(p, ["json", "csv"], "json")
@@ -194,7 +196,7 @@ def _cmd_sweep(args, out):
         }) + "\n")
     elapsed = time.perf_counter() - t0
     _diag(f"sweep [{outcome.lo}, {outcome.hi}] mode={outcome.mode.value} "
-          f"backend={kernel.BACKEND} jobs={args.jobs}: scanned {outcome.scanned} "
+          f"backend={kernel.BACKEND} jobs={outcome.jobs}: scanned {outcome.scanned} "
           f"moduli in {elapsed:.2f}s")
     return EXIT_COUNTEREXAMPLE if outcome.counterexamples else EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Census kernel backend selection.
+"""Census kernel backend selection, and the range counts built on it.
 
 The compiled extension runs exactly when it imports, that is when
 setup.py found Cython at build time; otherwise the pure-Python
@@ -6,7 +6,18 @@ implementation takes over with the same contract, held to the brute
 force in tests/oracle.py.  FALLBACK_REASON keeps the ImportError text
 that forced the fallback (None for compiled), and `qrcensus --version`
 prints both.
+
+small_residue_counts walks only primes and proper prime powers.  By the
+CRT, y is a square mod n (0 included) exactly when y mod q is a square mod
+q for every prime power q exactly dividing n, so a composite's r_b is the
+count of y in [1, (n-1)/2] that pass the square table of each such q.  The
+tables come from the backend's residue_bitmap, so every walk is the
+backend's own.  It calls the backend through _impl, never through the
+names exported below: a profiler that wraps those names (as
+perfbench/tracer.py does) then sees one kernel call per range.
 """
+
+from qrcensus.modmath import factorize
 
 try:
     import qrcensus._speedups as _impl
@@ -23,15 +34,40 @@ census_tallies = _impl.census_tallies
 residue_bitmap = _impl.residue_bitmap
 
 
+def _square_table(q, width):
+    """The squares mod q, 0 included, as bits tiled by shift-or doubling to
+    at least width bits: bit y is set iff y mod q is a square mod q."""
+    table = int.from_bytes(_impl.residue_bitmap(q), "little") | 1
+    while q < width:
+        table |= table << q
+        q <<= 1
+    return table
+
+
 def small_residue_counts(lo, hi):
-    """r_b(n) for every odd n in [lo, hi], by the backend's walk.
+    """r_b(n) for every odd n in [lo, hi]: the backend's walk for primes
+    and proper prime powers, the CRT over prime-power tables otherwise.
 
     The census ceiling is checked here, for both backends, before either
-    allocates its per-modulus table.
+    allocates its per-modulus table.  The tables are bit-packed and live
+    for one modulus, so memory stays at a single walk's.
     """
     if hi >= MAX_DENSE_MODULUS:
         raise ValueError(f"dense census supports n < 2**31, got {hi}")
-    return _impl.small_residue_counts(lo, hi)
+    if lo % 2 == 0 or hi % 2 == 0 or not 3 <= lo <= hi:
+        raise ValueError(f"need odd 3 <= lo <= hi, got [{lo}, {hi}]")
+    counts = []
+    for n in range(lo, hi + 1, 2):
+        factors = factorize(n)
+        if len(factors) == 1:
+            counts.append(_impl.small_residue_counts(n, n)[0])
+            continue
+        width = (n + 1) >> 1  # y in [0, (n-1)/2]
+        both = (1 << width) - 1
+        for p, e in factors.items():
+            both &= _square_table(p**e, width)
+        counts.append(both.bit_count() - 1)  # y = 0 is always a square
+    return counts
 
 
 __all__ = [

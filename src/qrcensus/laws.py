@@ -24,7 +24,6 @@ import json
 import os
 import time
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
@@ -84,6 +83,7 @@ class SweepOutcome(NamedTuple):
     counterexamples: tuple
     scanned: int
     elapsed: float
+    jobs: int = 1  # processes that scanned, the caller included
 
 
 def predicted_prime(n: int, r_b: int, mode: ThresholdMode) -> bool:
@@ -510,13 +510,15 @@ def sweep(
     """Classify every odd n in [lo, hi]; collect the n where verdict and
     oracle disagree, ascending regardless of worker scheduling.
 
-    The range is cut into contiguous chunks consumed by a process pool of
-    at most as many workers as usable CPUs (workers=1 stays in-process);
-    results merge in range order, so on_counterexample fires in ascending
-    order too.  With a checkpoint path, progress is persisted atomically
-    (temp file + rename) every checkpoint_every moduli; resume=True picks
-    an interrupted run back up and rejects any checkpoint whose schema,
-    mode or range does not match.
+    The range is cut into contiguous chunks.  With workers > 1, clamped to
+    the usable CPUs, the calling process scans chunks beside a pool of
+    workers - 1 processes (workers=1, or a range that fits one chunk,
+    stays in-process).  Results merge in range order, so on_counterexample
+    fires in ascending order too, and the outcome's jobs counts the
+    processes that scanned, the caller included.  With a checkpoint path,
+    progress is persisted atomically (temp file + rename) every
+    checkpoint_every moduli; resume=True picks an interrupted run back up
+    and rejects any checkpoint whose schema, mode or range does not match.
     """
     lo = as_modulus(lo)
     hi = as_modulus(hi)
@@ -566,6 +568,7 @@ def sweep(
     # gains nothing from a pool.
     chunks = _chunk_ranges(start, hi, chunk_size)
     if workers == 1 or start + 2 * (chunk_size - 1) >= hi:
+        workers = 1
         for a, b in chunks:
             merge(_scan_chunk((a, b, mode.value)), b)
     else:
@@ -573,24 +576,36 @@ def sweep(
         # multiprocessing would slow the start-up of every other command.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 
-        window = workers * 4
-        numbered = enumerate(chunks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The caller is one of the scanning processes.  The pool keeps each
+        # of its workers two chunks ahead; while that window is full, the
+        # caller scans the next chunk itself, and waits on the pool only when
+        # it has run a window's worth of chunks ahead of the merge.
+        window = 2 * (workers - 1)
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             inflight = {}  # future -> (chunk index, chunk end)
             results = {}  # chunk index -> (bad, chunk end)
             next_merge = 0
-            while True:
-                for i, (a, b) in islice(numbered, window - len(inflight)):
-                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
-                if not inflight:
-                    break
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+
+            def collect(done):
+                nonlocal next_merge
                 for fut in done:
-                    i, b = inflight.pop(fut)
-                    results[i] = fut.result(), b
+                    j, end = inflight.pop(fut)
+                    results[j] = fut.result(), end
                 while next_merge in results:
                     merge(*results.pop(next_merge))
                     next_merge += 1
+
+            for i, (a, b) in enumerate(chunks):
+                if len(inflight) < window:
+                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                elif len(results) < window:
+                    results[i] = _scan_chunk((a, b, mode.value)), b
+                    collect([fut for fut in inflight if fut.done()])
+                else:
+                    collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
+                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+            while inflight:
+                collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
 
     if checkpoint:
         _write_checkpoint(checkpoint, mode, lo, hi, hi + 2, found)
@@ -601,4 +616,5 @@ def sweep(
         counterexamples=tuple(found),
         scanned=(hi - lo) // 2 + 1,
         elapsed=time.perf_counter() - t0,
+        jobs=workers,
     )

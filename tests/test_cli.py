@@ -97,6 +97,14 @@ class TestSweepCommand:
                              "--mode", "floor", "--jobs", "3")
         assert out1 == out2
 
+    def test_stderr_counts_the_processes_that_scanned(self, capsys):
+        # The range fits one chunk, so the sweep runs in this process alone
+        # whatever --jobs asks for; no pool starts.
+        code, _, err = run_cli(capsys, "sweep", "--from", "3", "--to", "101",
+                               "--jobs", "1000000")
+        assert code == 3
+        assert " jobs=1: " in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--from", "3", "--to", "51",
                                "--mode", "floor", "--format", "csv")

@@ -33,6 +33,25 @@ def test_bitmap_matches_brute_force(backend):
         assert backend.residue_bitmap(n) == brute_kernel_census(n)[1], n
 
 
+def test_crt_counts_match_the_walk():
+    # Composites take the CRT over prime-power tables, prime powers the walk.
+    assert kernel.small_residue_counts(3, 20001) == _purekernel.small_residue_counts(3, 20001)
+    for n in (3**12, 5**8, 9 * 25 * 49, 3 * 5 * 7 * 11 * 13 * 17, 3**5 * 5**3,
+              999999, 1000001):
+        assert kernel.small_residue_counts(n, n) == _purekernel.small_residue_counts(n, n), n
+
+
+def test_range_counts_make_no_nested_kernel_calls(monkeypatch):
+    # The benchmark's tracer wraps the kernel's exported names; a range call
+    # that went through them would record nested kernel spans.
+    def refuse(*args):
+        raise AssertionError("called through the exported name")
+
+    monkeypatch.setattr(kernel, "residue_bitmap", refuse)
+    monkeypatch.setattr(kernel, "census_tallies", refuse)
+    assert kernel.small_residue_counts(3, 301) == _purekernel.small_residue_counts(3, 301)
+
+
 def test_backends_agree_pairwise():
     impls = [_purekernel]
     try:
@@ -68,10 +87,11 @@ def test_compiled_source_keeps_the_pure_contract():
 
 
 def test_range_validation(backend):
-    with pytest.raises(ValueError):
-        backend.small_residue_counts(4, 9)
-    with pytest.raises(ValueError):
-        backend.small_residue_counts(9, 3)
+    for impl in (backend, kernel):
+        with pytest.raises(ValueError):
+            impl.small_residue_counts(4, 9)
+        with pytest.raises(ValueError):
+            impl.small_residue_counts(9, 3)
     with pytest.raises(ValueError):
         backend.census_tallies(22)
     with pytest.raises(ValueError):

@@ -157,6 +157,7 @@ class TestParallelSweep:
         import concurrent.futures
 
         sizes = []
+        submits = 0
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -169,6 +170,8 @@ class TestParallelSweep:
                 return False
 
             def submit(self, fn, *args):
+                nonlocal submits
+                submits += 1
                 fut = concurrent.futures.Future()
                 fut.set_result(fn(*args))
                 return fut
@@ -177,8 +180,22 @@ class TestParallelSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, workers=10**6, chunk_size=50)
-        assert sizes == [3]
+        # Three usable CPUs: the caller scans beside a pool of two workers.
+        assert sizes == [2]
+        assert 0 < submits < len(list(laws._chunk_ranges(3, 2001, 50)))
+        assert out.jobs == 3
         assert out.counterexamples == (9, 15, 27)
+
+    def test_caller_and_pool_match_the_serial_run(self):
+        serial_seen, pool_seen = [], []
+        serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, chunk_size=32,
+                       on_counterexample=serial_seen.append)
+        pooled = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=2,
+                       chunk_size=32, on_counterexample=pool_seen.append)
+        assert pooled.counterexamples == serial.counterexamples
+        assert pool_seen == serial_seen == list(serial.counterexamples)
+        assert serial.jobs == 1
+        assert pooled.jobs == min(2, len(os.sched_getaffinity(0)))
 
 
 class TestCheckpoints:
