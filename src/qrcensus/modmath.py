@@ -174,7 +174,13 @@ def sieve_primes(limit: int) -> list:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization {p: e} by trial division; meant for desk-scale n."""
+    """Prime factorization {p: e} by trial division.
+
+    It runs once per modulus of a sweep (kernel.small_residue_counts) and
+    once per census_tallies call of the pure kernel: up to sqrt(n)/2 trial
+    divisors, against the n/2 steps of the square walk each of those makes
+    or replaces, and no table of its own.
+    """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -1,15 +1,25 @@
 """Contract parity between the compiled and pure census kernels."""
 
+import functools
 import inspect
 import pathlib
 import random
 import re
 import tracemalloc
+import types
 
 import pytest
 
 from oracle import brute_census, brute_kernel_census
 from qrcensus import _purekernel, kernel
+from qrcensus.laws import _chunk_ranges
+from qrcensus.modmath import factorize
+
+
+@functools.cache
+def _walked(lo, hi):
+    """r_b by the pure walk, one modulus at a time."""
+    return _purekernel.small_residue_counts(lo, hi)
 
 
 def test_a_backend_was_selected():
@@ -24,7 +34,11 @@ def test_counts_match_brute_force(backend):
 
 
 def test_tallies_match_brute_force(backend):
-    for n in list(range(3, 502, 2)) + [3757]:
+    # The prime powers and products of squares check the zero-square roots,
+    # which the pure kernel takes from the factorization: the multiples of
+    # prod p**ceil(e/2).
+    for n in list(range(3, 502, 2)) + [3757, 3**12, 5**8, 7**6, 11**5,
+                                       3**4 * 5**3 * 7**2, 9 * 25 * 49 * 121]:
         assert backend.census_tallies(n) == brute_kernel_census(n)[0], n
 
 
@@ -35,10 +49,44 @@ def test_bitmap_matches_brute_force(backend):
 
 def test_crt_counts_match_the_walk():
     # Composites take the CRT over prime-power tables, prime powers the walk.
-    assert kernel.small_residue_counts(3, 20001) == _purekernel.small_residue_counts(3, 20001)
-    for n in (3**12, 5**8, 9 * 25 * 49, 3 * 5 * 7 * 11 * 13 * 17, 3**5 * 5**3,
-              999999, 1000001):
+    # A call keeps a table while a later modulus of its range may use it:
+    # one call per sweep chunk of 1 modulus keeps none, of 7 keeps the
+    # tables of 3 and 5 for a few moduli, of 2048 wants more tables in its
+    # first chunk than hi bits hold and builds the rest per use.  Near 10**6
+    # only factors up to 500 have a later multiple in the window.
+    ref = _walked(3, 20001)
+    assert kernel.small_residue_counts(3, 20001) == ref
+    for c in (1, 7, 2048):
+        for a, b in _chunk_ranges(3, 20001, c):
+            assert kernel.small_residue_counts(a, b) == ref[(a - 3) // 2 : (b - 1) // 2], (a, b)
+    assert kernel.small_residue_counts(999001, 1000001) == _walked(999001, 1000001)
+    for n in (3**12, 5**8, 9 * 25 * 49, 3 * 5 * 7 * 11 * 13 * 17, 3**5 * 5**3):
         assert kernel.small_residue_counts(n, n) == _purekernel.small_residue_counts(n, n), n
+
+
+def test_range_counts_keep_tables_within_hi_bits(monkeypatch):
+    # The backend's answers are computed up front, so that only the range
+    # call's own allocations are traced.  Without the bound, the tables of
+    # every prime up to hi/3 are alive at once near n = hi/3: over 300 kB
+    # at this hi.  With it, the kept tables take at most hi bits; the rest
+    # is their int and dict headers and a few tiled tables of hi/2 bits.
+    hi = 20001
+    ref = _walked(3, hi)
+    bitmaps = {q: _purekernel.residue_bitmap(q) for q in range(3, hi // 3 + 1, 2)
+               if len(factorize(q)) == 1}
+    stand_in = types.SimpleNamespace(
+        residue_bitmap=bitmaps.__getitem__,
+        small_residue_counts=lambda a, b: ref[(a - 3) // 2 : (b - 1) // 2],
+    )
+    monkeypatch.setattr(kernel, "_impl", stand_in)
+    tracemalloc.start()
+    try:
+        counts = kernel.small_residue_counts(3, hi)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == ref
+    assert peak - held < hi // 8 + (16 << 10)
 
 
 def test_range_counts_make_no_nested_kernel_calls(monkeypatch):
