@@ -1,9 +1,10 @@
 """Command line surface.
 
 Exit codes: 0 success (and agreement), 1 usage error, 2 I/O or checkpoint
-error, 3 counterexample found (classify / sweep), 4 exact-law violation
-(laws).  Data goes to --output (default stdout) as JSON lines or CSV;
-timing and progress go to stderr so the data stream stays parseable.
+error, an interrupt or a lost pool worker, 3 counterexample found
+(classify / sweep), 4 exact-law violation (laws).  Data goes to --output
+(default stdout) as JSON lines or CSV; timing and progress go to stderr so
+the data stream stays parseable.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from qrcensus.laws import (
     CheckpointError,
     LAW_IDS,
     ThresholdMode,
+    WorkerLost,
     check_law,
     classify,
     qualifying_params,
@@ -317,6 +319,11 @@ _COMMANDS = {
 }
 
 
+def _resume_hint(args):
+    checkpoint = getattr(args, "checkpoint", None)
+    return f"; resume from checkpoint {checkpoint}" if checkpoint else ""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -339,6 +346,12 @@ def main(argv=None) -> int:
         return EXIT_IO
     except OSError as exc:
         _diag(f"qrcensus {args.command}: i/o error: {exc}")
+        return EXIT_IO
+    except KeyboardInterrupt:
+        _diag(f"qrcensus {args.command}: interrupted{_resume_hint(args)}")
+        return EXIT_IO
+    except WorkerLost as exc:
+        _diag(f"qrcensus {args.command}: {exc}{_resume_hint(args)}")
         return EXIT_IO
     finally:
         if opened:

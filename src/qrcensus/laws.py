@@ -20,7 +20,9 @@ checkpoints.
 
 import contextlib
 import enum
+import itertools
 import json
+import math
 import os
 import time
 from fractions import Fraction
@@ -45,6 +47,11 @@ class ThresholdMode(enum.Enum):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file unusable: unreadable, unwritable, or inconsistent."""
+
+
+class WorkerLost(RuntimeError):
+    """A pool worker of a sweep died; the sweep's checkpoint, if it has one,
+    holds the merged prefix."""
 
 
 class Classification(NamedTuple):
@@ -149,30 +156,38 @@ def _product_shape(law, p, q, m, k):
     return p, q, m, k
 
 
-def _odd_primes(hi):
-    return [p for p in sieve_primes(hi) if p > 2]
+def _primes_between(a, b):
+    """The odd primes in [a, b]: a window of b - a + 1 flags, sieved by the
+    primes up to isqrt(b)."""
+    a = max(a, 3)
+    if a > b:
+        return []
+    flags = bytearray([1]) * (b - a + 1)
+    for p in sieve_primes(math.isqrt(b)):
+        first = max(p * p, -(-a // p) * p) - a
+        flags[first::p] = bytes(len(range(first, b - a + 1, p)))
+    return list(itertools.compress(range(a, b + 1), flags))
 
 
-def _prime_powers(hi):
-    for p in _odd_primes(hi):
+def _prime_powers(lo, hi):
+    for p in _primes_between(3, hi):
         k = 1
         while p**k <= hi:
             yield p, k
             k += 1
 
 
-def _prime_pairs(hi):
-    # p < q are odd primes, so p >= 3 and q <= hi/3.
-    primes = _odd_primes(hi // 3)
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            if p * q > hi:
-                break
+def _prime_pairs(lo, hi):
+    # p < q are odd primes with lo <= pq <= hi, so p <= isqrt(hi) and q
+    # runs over the window [max(p + 2, ceil(lo/p)), hi // p].
+    for p in _primes_between(3, math.isqrt(hi)):
+        for q in _primes_between(max(p + 2, -(-lo // p)), hi // p):
             yield p, q
 
 
-def _prime_products(hi):
-    for p, q in _prime_pairs(hi):
+def _prime_products(lo, hi):
+    # p**m * q**k can reach lo when pq does not, so every pair up to hi.
+    for p, q in _prime_pairs(3, hi):
         m = 1
         while p**m * q <= hi:
             k = 1
@@ -186,17 +201,19 @@ class _Family(NamedTuple):
     names: tuple  # parameter names, in report order
     shape: Callable  # (law, **params) -> validated values, or ValueError
     modulus: Optional[Callable]  # values -> the modulus censused; None: no census
-    candidates: Callable  # hi -> every tuple of the shape with modulus <= hi
+    # (lo, hi) -> every tuple of the shape with modulus in [lo, hi], and
+    # maybe some below lo, which qualifying_params drops
+    candidates: Callable
 
 
 _PRIME = _Family(("p",), _prime_shape, lambda p: p,
-                 lambda hi: ((p,) for p in _odd_primes(hi)))
+                 lambda lo, hi: ((p,) for p in _primes_between(lo, hi)))
 _PRIME_POWER = _Family(("p", "k"), _power_shape, lambda p, k: p**k, _prime_powers)
 _PRODUCT = _Family(("p", "q", "m", "k"), _product_shape,
                    lambda p, q, m, k: p**m * q**k, _prime_products)
 _SEMIPRIME = _Family(("p", "q"), _semiprime_shape, lambda p, q: p * q, _prime_pairs)
 _CLASS_PAIR = _Family(("a", "b"), lambda law, a, b: (a, b), None,
-                      lambda hi: ((3, 5), (3, 7), (5, 7)))
+                      lambda lo, hi: ((3, 5), (3, 7), (5, 7)))
 
 
 class _Law(NamedTuple):
@@ -365,7 +382,7 @@ def qualifying_params(law_id: str, lo: int, hi: int) -> Iterator[dict]:
         )
     if hi < lo:
         return
-    for values in law.family.candidates(hi):
+    for values in law.family.candidates(lo, hi):
         if (modulus is None or modulus(*values) >= lo) and law.condition(*values):
             yield dict(zip(law.family.names, values))
 
@@ -409,12 +426,46 @@ def _scan_chunk(args):
     return bad
 
 
-def _chunk_ranges(start, hi, chunk_size):
+def _chunk_ranges(start, hi, chunk_size, parts=1):
+    """Contiguous chunks (a, b) of the odd n in [start, hi], each of at most
+    chunk_size moduli and, give or take one modulus, at most 1/parts of the
+    range's walk steps.  Modulus n costs (n-1)/2 steps, so the odd moduli
+    below n = 2k+1 cost k(k-1)/2.  Where chunk_size moduli at the top of
+    the range hold more than 1/parts of the steps, a chunk also ends at
+    each of `parts` equal shares of them, the last modulus within a share
+    being one isqrt away; elsewhere, and always with parts=1, the cut is by
+    moduli alone, so a long range keeps its chunks."""
+
+    def steps_below(n):
+        k = (n - 1) // 2
+        return k * (k - 1) // 2
+
+    base = steps_below(start)
+    total = steps_below(hi + 2) - base
+    # The next share boundary to cut at; none where chunk_size moduli of at
+    # most (hi-1)/2 steps each already fit within a share.
+    share = parts if parts * chunk_size * ((hi - 1) // 2) <= total else 1
     a = start
     while a <= hi:
         b = min(a + 2 * (chunk_size - 1), hi)
+        while share < parts:
+            # k is the largest with k(k-1)/2 <= t: the moduli up to 2k-1 fit.
+            t = base + share * total // parts
+            end = (1 + math.isqrt(1 + 8 * t)) // 2 * 2 - 1
+            if end >= a:
+                b = min(b, end)
+                break
+            share += 1
         yield a, b
         a = b + 2
+
+
+def _ignore_interrupts():
+    """Pool worker initializer: a terminal's Ctrl-C reaches the whole process
+    group, and only the caller should handle it."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _write_checkpoint(path, mode, lo, hi, next_unscanned, counterexamples):
@@ -510,15 +561,20 @@ def sweep(
     """Classify every odd n in [lo, hi]; collect the n where verdict and
     oracle disagree, ascending regardless of worker scheduling.
 
-    The range is cut into contiguous chunks.  With workers > 1, clamped to
-    the usable CPUs, the calling process scans chunks beside a pool of
-    workers - 1 processes (workers=1, or a range that fits one chunk,
-    stays in-process).  Results merge in range order, so on_counterexample
-    fires in ascending order too, and the outcome's jobs counts the
-    processes that scanned, the caller included.  With a checkpoint path,
-    progress is persisted atomically (temp file + rename) every
-    checkpoint_every moduli; resume=True picks an interrupted run back up
-    and rejects any checkpoint whose schema, mode or range does not match.
+    The range is cut into contiguous chunks of at most chunk_size moduli.
+    With workers > 1, clamped to the usable CPUs, the calling process scans
+    chunks beside a pool of workers - 1 processes (workers=1, or a range
+    that fits one chunk, stays in-process).  The caller scans the last
+    chunk, and a short range is also cut at each of `workers` equal shares
+    of its walk steps, so that no one chunk holds most of its work.
+    Results merge in range order, so on_counterexample fires in ascending
+    order too, and the outcome's jobs counts the processes that scanned,
+    the caller included.
+    With a checkpoint path, progress is persisted atomically (temp file +
+    rename) every checkpoint_every moduli, and once more, for the merged
+    prefix, before a KeyboardInterrupt propagates or a dead pool worker
+    raises WorkerLost; resume=True picks an interrupted run back up and
+    rejects any checkpoint whose schema, mode or range does not match.
     """
     lo = as_modulus(lo)
     hi = as_modulus(hi)
@@ -566,46 +622,69 @@ def sweep(
     # A long sweep has millions of chunks: generate them as they are
     # scanned, never as a list.  A rest of the range that fits one chunk
     # gains nothing from a pool.
-    chunks = _chunk_ranges(start, hi, chunk_size)
-    if workers == 1 or start + 2 * (chunk_size - 1) >= hi:
-        workers = 1
-        for a, b in chunks:
-            merge(_scan_chunk((a, b, mode.value)), b)
-    else:
-        # Imported here: concurrent.futures (with logging and threading) and
-        # multiprocessing would slow the start-up of every other command.
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+    aborts = (KeyboardInterrupt,)  # and BrokenProcessPool once a pool runs
+    try:
+        if workers == 1 or start + 2 * (chunk_size - 1) >= hi:
+            workers = 1
+            for a, b in _chunk_ranges(start, hi, chunk_size):
+                merge(_scan_chunk((a, b, mode.value)), b)
+        else:
+            # Imported here: concurrent.futures (with logging and threading)
+            # and multiprocessing would slow the start-up of every other
+            # command.
+            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-        # The caller is one of the scanning processes.  The pool keeps each
-        # of its workers two chunks ahead; while that window is full, the
-        # caller scans the next chunk itself, and waits on the pool only when
-        # it has run a window's worth of chunks ahead of the merge.
-        window = 2 * (workers - 1)
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            inflight = {}  # future -> (chunk index, chunk end)
-            results = {}  # chunk index -> (bad, chunk end)
-            next_merge = 0
+            aborts += (BrokenProcessPool,)
+            # The caller is one of the scanning processes.  The pool keeps
+            # each of its workers two chunks ahead; while that window is
+            # full, the caller scans the next chunk itself, and waits on the
+            # pool only when it has run a window's worth of chunks ahead of
+            # the merge.  The last chunk is always the caller's: queued
+            # behind the pool's, it would leave the caller idle at the end.
+            # A short range is also cut at equal shares of the walk steps,
+            # one per process.  A range of at most window + 2 chunks gives
+            # the pool the first chunks and the caller the rest, always the
+            # same ones: for 3..10001 with two processes, half of the steps
+            # each.
+            chunks = _chunk_ranges(start, hi, chunk_size, workers)
+            window = 2 * (workers - 1)
+            with ProcessPoolExecutor(
+                max_workers=workers - 1, initializer=_ignore_interrupts
+            ) as pool:
+                inflight = {}  # future -> (chunk index, chunk end)
+                results = {}  # chunk index -> (bad, chunk end)
+                next_merge = 0
 
-            def collect(done):
-                nonlocal next_merge
-                for fut in done:
-                    j, end = inflight.pop(fut)
-                    results[j] = fut.result(), end
-                while next_merge in results:
-                    merge(*results.pop(next_merge))
-                    next_merge += 1
+                def collect(done):
+                    nonlocal next_merge
+                    for fut in done:
+                        j, end = inflight.pop(fut)
+                        results[j] = fut.result(), end
+                    while next_merge in results:
+                        merge(*results.pop(next_merge))
+                        next_merge += 1
 
-            for i, (a, b) in enumerate(chunks):
-                if len(inflight) < window:
-                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
-                elif len(results) < window:
-                    results[i] = _scan_chunk((a, b, mode.value)), b
-                    collect([fut for fut in inflight if fut.done()])
-                else:
+                for i, (a, b) in enumerate(chunks):
+                    if len(inflight) < window and b < hi:
+                        inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                    elif len(results) < window or b == hi:
+                        results[i] = _scan_chunk((a, b, mode.value)), b
+                        collect([fut for fut in inflight if fut.done()])
+                    else:
+                        collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
+                        inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                while inflight:
                     collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
-                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
-            while inflight:
-                collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
+    except aborts as exc:
+        # Interrupted, or a pool worker died: keep the merged prefix.  A merge
+        # cut short may already list counterexamples past next_unscanned.
+        if checkpoint:
+            _write_checkpoint(checkpoint, mode, lo, hi, next_unscanned,
+                              [n for n in found if n < next_unscanned])
+        if isinstance(exc, KeyboardInterrupt):
+            raise
+        raise WorkerLost("a pool worker died") from exc
 
     if checkpoint:
         _write_checkpoint(checkpoint, mode, lo, hi, hi + 2, found)

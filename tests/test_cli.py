@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from conftest import load_fixture
-from qrcensus import kernel
+from qrcensus import cli, kernel
+from qrcensus.laws import WorkerLost
 from qrcensus.cli import main
 
 
@@ -134,6 +137,20 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--from", "3", "--to", "51",
                                "--checkpoint", str(tmp_path / "nope" / "ck.json"))
         assert code == 2 and "checkpoint" in err
+
+    @pytest.mark.parametrize("abort, says", [
+        (KeyboardInterrupt(), "interrupted"),
+        (WorkerLost("a pool worker died"), "a pool worker died"),
+    ])
+    def test_abort_is_io_error_in_one_line(self, capsys, monkeypatch, abort, says):
+        def aborted(*args, **kwargs):
+            raise abort
+
+        monkeypatch.setattr(cli, "sweep", aborted)
+        code, _, err = run_cli(capsys, "sweep", "--from", "3", "--to", "51",
+                               "--checkpoint", "ck.json")
+        assert code == 2
+        assert err.splitlines() == [f"qrcensus sweep: {says}; resume from checkpoint ck.json"]
 
     def test_range_above_census_ceiling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--from", "3", "--to",

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -258,6 +262,20 @@ class TestQualifyingParams:
                 continue
             with pytest.raises(ValueError, match=law):
                 next(qualifying_params(law, 3, laws.kernel.MAX_DENSE_MODULUS))
+
+    def test_a3_window_enumerates_within_400_mb(self):
+        # 2000000001 = 3 * 666666667: the partner prime comes from a window
+        # of q, not from a sieve of every integer up to hi // 3.
+        pytest.importorskip("resource")
+        code = (
+            "import json, resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
+            "from qrcensus.laws import qualifying_params; "
+            "print(json.dumps(list(qualifying_params('A3', 2000000000, 2000000001))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert json.loads(out.stdout) == [{"p": 3, "q": 666666667}]
 
     @pytest.mark.parametrize("law", ["A2_NH_PRODUCT", "A3_RB_SEMIPRIME", "L9_PRODUCT_INEQ"])
     def test_two_prime_families_sieve_to_a_third(self, law, monkeypatch):

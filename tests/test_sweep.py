@@ -1,8 +1,13 @@
 import json
+import multiprocessing
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -137,6 +142,35 @@ def test_records_are_immutable_validated_values(record, args, rejects):
             rec._replace(**dict(zip(record._fields, bad)))
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in pool that records its sizes and the chunks submitted to it,
+    and runs each chunk inline: a real pool would fork every requested
+    worker at its first submit."""
+    import concurrent.futures
+
+    record = types.SimpleNamespace(sizes=[], submitted=[])
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None):
+            record.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, args):
+            record.submitted.append(args[:2])
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return record
+
+
 class TestParallelSweep:
     def test_workers_do_not_change_the_result(self):
         serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, chunk_size=128)
@@ -151,38 +185,26 @@ class TestParallelSweep:
               on_counterexample=seen.append)
         assert seen == [9, 15, 27]
 
-    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch):
-        # A stand-in pool that records its size and runs each chunk inline:
-        # a real pool would fork every requested worker at its first submit.
-        import concurrent.futures
+    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch, inline_pool):
+        cut = []
+        real_cut = laws._chunk_ranges
 
-        sizes = []
-        submits = 0
+        def recording_cut(*args):
+            for chunk in real_cut(*args):
+                cut.append(chunk)
+                yield chunk
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                nonlocal submits
-                submits += 1
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(laws, "_chunk_ranges", recording_cut)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, workers=10**6, chunk_size=50)
-        # Three usable CPUs: the caller scans beside a pool of two workers.
-        assert sizes == [2]
-        assert 0 < submits < len(list(laws._chunk_ranges(3, 2001, 50)))
+        # Three usable CPUs: the caller scans beside a pool of two workers,
+        # and scans at least one chunk of the pool's own cut itself, the
+        # last among them.
+        assert inline_pool.sizes == [2]
+        assert cut == list(real_cut(3, 2001, 50, 3))
+        assert 0 < len(inline_pool.submitted) < len(cut)
+        assert cut[-1] not in inline_pool.submitted
         assert out.jobs == 3
         assert out.counterexamples == (9, 15, 27)
 
@@ -196,6 +218,77 @@ class TestParallelSweep:
         assert pool_seen == serial_seen == list(serial.counterexamples)
         assert serial.jobs == 1
         assert pooled.jobs == min(2, len(os.sched_getaffinity(0)))
+
+
+def _steps(a, b):
+    """Walk steps of the odd moduli in [a, b]: n takes (n-1)/2."""
+    return sum((n - 1) // 2 for n in range(a, b + 1, 2))
+
+
+def _moduli_cut(start, hi, chunk_size):
+    """The cut by moduli alone: chunk_size moduli a chunk, the rest last."""
+    a = start
+    while a <= hi:
+        b = min(a + 2 * (chunk_size - 1), hi)
+        yield a, b
+        a = b + 2
+
+
+class TestChunkRanges:
+    def test_chunks_tile_the_range_within_size_and_share(self):
+        rng = random.Random(9)
+        for _ in range(400):
+            lo = 2 * rng.randrange(1, 5000) + 1
+            hi = lo + 2 * rng.randrange(0, 3000)
+            chunk_size = rng.choice([1, 2, 7, 64, 2048, 10**6])
+            parts = rng.randrange(1, 9)
+            chunks = list(laws._chunk_ranges(lo, hi, chunk_size, parts))
+            assert chunks[0][0] == lo and chunks[-1][1] == hi
+            assert all(c == b + 2 for (_, b), (c, _) in zip(chunks, chunks[1:]))
+            share = -(-_steps(lo, hi) // parts)
+            for a, b in chunks:
+                assert a <= b and (b - a) // 2 + 1 <= chunk_size
+                # A chunk reaches past a share boundary by its first modulus
+                # at most.
+                assert _steps(a, b) <= share + (a - 1) // 2, (lo, hi, parts, a, b)
+            assert list(laws._chunk_ranges(lo, hi, chunk_size)) == list(
+                _moduli_cut(lo, hi, chunk_size))
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_pool_cut_bounds_the_largest_chunk(self, workers):
+        chunks = list(laws._chunk_ranges(3, 10001, laws.DEFAULT_CHUNK, workers))
+        largest = max(_steps(a, b) for a, b in chunks)
+        assert largest <= _steps(3, 10001) / workers + (10001 - 1) // 2
+        # By moduli alone the largest of the three chunks holds half the steps.
+        assert max(_steps(a, b) for a, b in _moduli_cut(3, 10001, laws.DEFAULT_CHUNK)) \
+            > _steps(3, 10001) / 2
+
+    def test_short_pool_sweep_splits_the_steps_between_pool_and_caller(
+            self, monkeypatch, inline_pool):
+        # Pool chunks that are done at once leave the caller the same chunk
+        # as slow ones: the pool gets the first half of the steps, the
+        # caller the last chunk, the other half.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        sweep(3, 10001, ThresholdMode.STRICT_QUARTER, workers=2)
+        assert inline_pool.submitted == [(3, 4097), (4099, 7071)]
+        assert _steps(3, 7071) * 2 == pytest.approx(_steps(3, 10001), rel=1e-3)
+
+    def test_long_range_keeps_the_moduli_cut(self):
+        # 2048 moduli below 60001 hold at most 14 % of the steps: shares of
+        # a half or a quarter would only add chunks.
+        for parts in (2, 4):
+            assert list(laws._chunk_ranges(3, 60001, 2048, parts)) == list(
+                _moduli_cut(3, 60001, 2048))
+
+    def test_default_pool_sweep_matches_serial(self):
+        serial_seen, pool_seen = [], []
+        serial = sweep(3, 10001, ThresholdMode.STRICT_QUARTER,
+                       on_counterexample=serial_seen.append)
+        pooled = sweep(3, 10001, ThresholdMode.STRICT_QUARTER, workers=2,
+                       on_counterexample=pool_seen.append)
+        assert len(serial.counterexamples) == 609
+        assert pooled.counterexamples == serial.counterexamples
+        assert pool_seen == serial_seen == list(serial.counterexamples)
 
 
 class TestCheckpoints:
@@ -356,3 +449,64 @@ class TestChunkStreaming:
             sweep(3, 400001, workers=2, chunk_size=1, checkpoint_every=1,
                   checkpoint=str(tmp_path / "sweep.json"))
         assert 0 < drawn < 1000
+
+
+_ABORTED = (3, 30001)  # strict: every prime p = 1 (mod 4) is a counterexample
+_USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+_needs_a_pool = pytest.mark.skipif(_USABLE_CPUS < 2, reason="a pool sweep needs two usable CPUs")
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    return sweep(*_ABORTED, ThresholdMode.STRICT_QUARTER, workers=2).counterexamples
+
+
+@_needs_a_pool
+class TestAborts:
+    """An interrupt or a lost pool worker leaves a checkpoint of the merged
+    prefix, and a resume from it finds what an uninterrupted run finds."""
+
+    def test_lost_worker(self, tmp_path, uninterrupted):
+        from concurrent.futures.process import BrokenProcessPool
+
+        path = str(tmp_path / "ck.json")
+
+        def kill_the_pool(n):
+            for worker in multiprocessing.active_children():
+                os.kill(worker.pid, signal.SIGKILL)
+
+        with pytest.raises(laws.WorkerLost) as lost:
+            sweep(*_ABORTED, ThresholdMode.STRICT_QUARTER, workers=2,
+                  checkpoint=path, on_counterexample=kill_the_pool)
+        assert isinstance(lost.value.__cause__, BrokenProcessPool)
+        with open(path, encoding="utf-8") as fh:
+            assert 3 < json.load(fh)["next_unscanned"] <= _ABORTED[1]
+        resumed = sweep(*_ABORTED, ThresholdMode.STRICT_QUARTER, workers=2,
+                        checkpoint=path, resume=True)
+        assert resumed.counterexamples == uninterrupted
+
+    def test_sigint_to_the_cli(self, tmp_path, uninterrupted):
+        path = tmp_path / "ck.json"
+        argv = [sys.executable, "-m", "qrcensus", "sweep", "--from", str(_ABORTED[0]),
+                "--to", str(_ABORTED[1]), "--mode", "strict", "--jobs", "2",
+                "--checkpoint", str(path)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # A shell may start this process with SIGINT ignored, which the child
+        # would inherit; give it the default, so Python raises KeyboardInterrupt.
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        deadline = time.monotonic() + 120
+        while not path.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)  # after the first cadence checkpoint
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err.splitlines() == [f"qrcensus sweep: interrupted; resume from checkpoint {path}"]
+        assert json.loads(path.read_text())["next_unscanned"] <= _ABORTED[1]
+        resumed = subprocess.run(argv + ["--resume"], env=env, capture_output=True,
+                                 text=True, timeout=120)
+        assert resumed.returncode == 3
+        summary = json.loads(resumed.stdout.splitlines()[-1])
+        assert summary["counterexamples"] == list(uninterrupted)
