@@ -1,0 +1,250 @@
+/* Compiled census kernels; kernel.py falls back to _purekernel without them.
+
+Same contract, error texts and walk as _purekernel: every function derives
+from mark(), which keeps x**2 mod n by adding 2x-1 and subtracting n at
+most once.  Where _purekernel spends a byte per value of [0, n), mark()
+sets one bit, in residue_bitmap's layout (bit y & 7 of byte y >> 3), so a
+table takes n/8 bytes.  With n < 2**31 every value and every census sum
+fits a signed 64-bit integer.  The zero-square roots of census_tallies are
+the multiples of prod p**ceil(e/2) over the prime powers p**e exactly
+dividing n, found by trial division.
+*/
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <string.h>
+
+#define MAX_DENSE_MODULUS (1LL << 31)
+
+typedef long long i64;
+
+/* An int argument: the Python object, for error texts, and its value,
+   saturated past the i64 range with its sign and parity kept, which is all
+   that the checks below read of a value out of that range. */
+typedef struct {
+    PyObject *obj;
+    i64 v;
+} arg;
+
+static int
+to_arg(PyObject *obj, void *out)
+{
+    arg *a = out;
+    int overflow;
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL)
+        return 0;
+    a->v = PyLong_AsLongLongAndOverflow(index, &overflow);
+    if (overflow) {
+        i64 odd = PyLong_AsUnsignedLongLongMask(index) & 1;
+        a->v = overflow > 0 ? LLONG_MAX - 1 + odd : LLONG_MIN + odd;
+    }
+    Py_DECREF(index);
+    if (a->v == -1 && PyErr_Occurred())
+        return 0;
+    a->obj = obj;
+    return 1;
+}
+
+static int
+check_modulus(arg n)
+{
+    if (n.v % 2 == 0 || n.v < 3) {
+        PyErr_Format(PyExc_ValueError, "modulus must be odd and >= 3, got %S", n.obj);
+        return -1;
+    }
+    if (n.v >= MAX_DENSE_MODULUS) {
+        PyErr_Format(PyExc_ValueError, "dense census supports n < 2**31, got %S", n.obj);
+        return -1;
+    }
+    return 0;
+}
+
+/* Bytes of a bit table over [0, n). */
+#define TABLE_BYTES(n) ((size_t)((n) >> 3) + 1)
+
+/* The square walk into the bit table over [0, n): bit y is set at every
+   nonzero x**2 mod n for x in [1, (n-1)/2], clear elsewhere. */
+static void
+mark(unsigned char *table, i64 n)
+{
+    i64 s = 0;
+    memset(table, 0, TABLE_BYTES(n));
+    for (i64 add = 1; add < n - 1; add += 2) {
+        s += add;
+        s -= s >= n ? n : 0;
+        table[s >> 3] |= (unsigned char)(1u << (s & 7));
+    }
+    table[0] &= 0xfe;
+}
+
+static int
+bit(const unsigned char *table, i64 y)
+{
+    return (table[y >> 3] >> (y & 7)) & 1;
+}
+
+static i64
+popcount(unsigned long long x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (i64)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* The set bits of the table below `end`, eight bytes at a time. */
+static i64
+count_below(const unsigned char *table, i64 end)
+{
+    i64 count = 0, full = end >> 3, i = 0;
+    for (; i + 8 <= full; i += 8) {
+        unsigned long long word;
+        memcpy(&word, table + i, 8);
+        count += popcount(word);
+    }
+    for (; i < full; i++)
+        count += popcount(table[i]);
+    return count + popcount(table[full] & ((1u << (end & 7)) - 1));
+}
+
+static unsigned char *
+new_table(i64 n)
+{
+    unsigned char *table = PyMem_Malloc(TABLE_BYTES(n));
+    if (table == NULL)
+        PyErr_NoMemory();
+    return table;
+}
+
+static PyObject *
+small_residue_counts(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"lo", "hi", NULL};
+    arg lo, hi;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&O&", names, to_arg, &lo, to_arg, &hi))
+        return NULL;
+    int lo_gt_hi = lo.v > hi.v;
+    if (lo.v == hi.v && (lo_gt_hi = PyObject_RichCompareBool(lo.obj, hi.obj, Py_GT)) < 0)
+        return NULL;
+    if (lo.v % 2 == 0 || hi.v % 2 == 0 || lo.v < 3 || lo_gt_hi)
+        return PyErr_Format(PyExc_ValueError, "need odd 3 <= lo <= hi, got [%S, %S]",
+                            lo.obj, hi.obj);
+    if (hi.v >= PY_SSIZE_T_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "cannot fit 'int' into an index-sized integer");
+        return NULL;
+    }
+    unsigned char *table = new_table(hi.v);
+    PyObject *out = table == NULL ? NULL : PyList_New(0);
+    for (i64 n = lo.v; out != NULL && n <= hi.v; n += 2) {
+        mark(table, n);
+        PyObject *item = PyLong_FromLongLong(count_below(table, ((n - 1) >> 1) + 1));
+        if (item == NULL || PyList_Append(out, item) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(item);
+    }
+    PyMem_Free(table);
+    return out;
+}
+
+static PyObject *
+census_tallies(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"n", NULL};
+    arg a;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&", names, to_arg, &a) || check_modulus(a) < 0)
+        return NULL;
+    i64 n = a.v, half = (n - 1) >> 1;
+    unsigned char *table = new_table(n);
+    if (table == NULL)
+        return NULL;
+    mark(table, n);
+    i64 r_b = count_below(table, half + 1), r_h = count_below(table, n) - r_b;
+    i64 sum_rb = 0, sum_rh = 0;
+    for (i64 y = 1; y <= half; y++)
+        sum_rb += y * bit(table, y);
+    for (i64 y = half + 1; y < n; y++)
+        sum_rh += y * bit(table, y);
+    PyMem_Free(table);
+    i64 m = 1, rest = n;
+    for (i64 p = 3; p * p <= rest; p += 2) {
+        for (int e = 0; rest % p == 0; e++) {
+            rest /= p;
+            m *= e % 2 == 0 ? p : 1;
+        }
+    }
+    m *= rest;
+    PyObject *zeros = PyList_New(0);
+    for (i64 x = m; zeros != NULL && x <= half; x += m) {
+        PyObject *item = PyLong_FromLongLong(x);
+        if (item == NULL || PyList_Append(zeros, item) < 0)
+            Py_CLEAR(zeros);
+        Py_XDECREF(item);
+    }
+    if (zeros == NULL)
+        return NULL;
+    i64 sum_r = sum_rb + sum_rh, sum_n = n * (n - 1) / 2 - sum_r;
+    i64 sum_nb = half * (half + 1) / 2 - sum_rb;
+    return Py_BuildValue("(LLLLLLLLLLN)", r_b, half - r_b, r_h, (n - 1 - half) - r_h,
+                         sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_n - sum_nb, zeros);
+}
+
+static PyObject *
+residue_bitmap(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"n", NULL};
+    arg a;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&", names, to_arg, &a) || check_modulus(a) < 0)
+        return NULL;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)TABLE_BYTES(a.v));
+    if (out != NULL)
+        mark((unsigned char *)PyBytes_AS_STRING(out), a.v);
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"small_residue_counts", (PyCFunction)(void (*)(void))small_residue_counts,
+     METH_VARARGS | METH_KEYWORDS,
+     "small_residue_counts(lo, hi)\n--\n\n"
+     "r_b(n) for every odd n in [lo, hi], by the square walk."},
+    {"census_tallies", (PyCFunction)(void (*)(void))census_tallies,
+     METH_VARARGS | METH_KEYWORDS,
+     "census_tallies(n)\n--\n\n"
+     "Counts and sums of the residue census of n: (r_b, n_b, r_h, n_h, sum_r,\n"
+     "sum_n, sum_rb, sum_nb, sum_rh, sum_nh, zero_square_roots), the roots being\n"
+     "the x <= (n-1)/2 with x**2 = 0 mod n."},
+    {"residue_bitmap", (PyCFunction)(void (*)(void))residue_bitmap,
+     METH_VARARGS | METH_KEYWORDS,
+     "residue_bitmap(n)\n--\n\n"
+     "Bit-packed residue membership: bit y is set iff y in [1, n-1] is a\n"
+     "nonzero quadratic residue of n."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "qrcensus._speedups",
+    "Compiled census kernels, with the contract of qrcensus._purekernel.", -1, methods,
+};
+
+static int
+add_i64(PyObject *m, const char *name, i64 v)
+{
+    PyObject *obj = PyLong_FromLongLong(v);
+    int rc = PyModule_AddObjectRef(m, name, obj);
+    Py_XDECREF(obj);
+    return rc;
+}
+
+PyMODINIT_FUNC
+PyInit__speedups(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m == NULL
+        || PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0
+        || add_i64(m, "MAX_DENSE_MODULUS", MAX_DENSE_MODULUS) < 0) {
+        Py_XDECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -1,11 +1,11 @@
 """Census kernel backend selection, and the range counts built on it.
 
 The compiled extension runs exactly when it imports, that is when
-setup.py found Cython at build time; otherwise the pure-Python
-implementation takes over with the same contract, held to the brute
-force in tests/oracle.py.  FALLBACK_REASON keeps the ImportError text
-that forced the fallback (None for compiled), and `qrcensus --version`
-prints both.
+setup.py found a working C compiler at build time; otherwise the
+pure-Python implementation takes over with the same contract, held to the
+brute force in tests/oracle.py.  FALLBACK_REASON keeps the ImportError
+text that forced the fallback (None for compiled), and `qrcensus
+--version` prints both.
 
 small_residue_counts walks only primes and proper prime powers.  By the
 CRT, y is a square mod n (0 included) exactly when y mod q is a square mod

@@ -36,6 +36,15 @@ CHECKPOINT_SCHEMA_VERSION = 1
 DEFAULT_CHUNK = 2048
 DEFAULT_CHECKPOINT_EVERY = 4096
 
+# The walk steps ((n-1)/2 per modulus) from which a sweep's pool beats one
+# process, by kernel backend.  Strict sweeps from 3 on 2 CPUs: compiled,
+# medians of 15, serial and pooled cross near 1.25e7 steps (3..10001: 58
+# against 56 ms; 3..16001, 3.2e7 steps: 82 against 69 ms); pure, chunks of
+# 512, medians of 9, between 1.1e6 and 2.0e6 steps (3..3001: 48 against
+# 55 ms; 3..4001: 101 against 66 ms).  A one-shot command also spends
+# 20-30 ms importing the pool.
+_POOL_MIN_STEPS = {"compiled": 1 << 25, "pure": 1 << 21}[kernel.BACKEND]
+
 
 class ThresholdMode(enum.Enum):
     """Which inequality turns (r_b, n) into a primality verdict."""
@@ -170,11 +179,16 @@ def _primes_between(a, b):
 
 
 def _prime_powers(lo, hi):
-    for p in _primes_between(3, hi):
+    # p**k <= hi with k >= 2 needs p <= isqrt(hi); a larger p comes in only
+    # as p itself, from the window [lo, hi].
+    root = math.isqrt(hi)
+    for p in _primes_between(3, root):
         k = 1
         while p**k <= hi:
             yield p, k
             k += 1
+    for p in _primes_between(max(lo, root + 1), hi):
+        yield p, 1
 
 
 def _prime_pairs(lo, hi):
@@ -426,22 +440,23 @@ def _scan_chunk(args):
     return bad
 
 
+def _steps_below(n):
+    """Walk steps of the odd moduli in [3, n): modulus m costs (m-1)/2
+    steps, so those below n = 2k+1 cost k(k-1)/2."""
+    k = (n - 1) // 2
+    return k * (k - 1) // 2
+
+
 def _chunk_ranges(start, hi, chunk_size, parts=1):
     """Contiguous chunks (a, b) of the odd n in [start, hi], each of at most
     chunk_size moduli and, give or take one modulus, at most 1/parts of the
-    range's walk steps.  Modulus n costs (n-1)/2 steps, so the odd moduli
-    below n = 2k+1 cost k(k-1)/2.  Where chunk_size moduli at the top of
-    the range hold more than 1/parts of the steps, a chunk also ends at
-    each of `parts` equal shares of them, the last modulus within a share
-    being one isqrt away; elsewhere, and always with parts=1, the cut is by
-    moduli alone, so a long range keeps its chunks."""
-
-    def steps_below(n):
-        k = (n - 1) // 2
-        return k * (k - 1) // 2
-
-    base = steps_below(start)
-    total = steps_below(hi + 2) - base
+    range's walk steps.  Where chunk_size moduli at the top of the range
+    hold more than 1/parts of the steps, a chunk also ends at each of
+    `parts` equal shares of them, the last modulus within a share being one
+    isqrt away; elsewhere, and always with parts=1, the cut is by moduli
+    alone, so a long range keeps its chunks."""
+    base = _steps_below(start)
+    total = _steps_below(hi + 2) - base
     # The next share boundary to cut at; none where chunk_size moduli of at
     # most (hi-1)/2 steps each already fit within a share.
     share = parts if parts * chunk_size * ((hi - 1) // 2) <= total else 1
@@ -563,9 +578,10 @@ def sweep(
 
     The range is cut into contiguous chunks of at most chunk_size moduli.
     With workers > 1, clamped to the usable CPUs, the calling process scans
-    chunks beside a pool of workers - 1 processes (workers=1, or a range
-    that fits one chunk, stays in-process).  The caller scans the last
-    chunk, and a short range is also cut at each of `workers` equal shares
+    chunks beside a pool of workers - 1 processes.  workers=1, a range that
+    fits one chunk, and one of fewer walk steps ((n-1)/2 per modulus) than
+    the kernel backend's _POOL_MIN_STEPS stay in-process.  The caller scans
+    the last chunk, and a short range is also cut at each of `workers` equal shares
     of its walk steps, so that no one chunk holds most of its work.
     Results merge in range order, so on_counterexample fires in ascending
     order too, and the outcome's jobs counts the processes that scanned,
@@ -621,10 +637,13 @@ def sweep(
 
     # A long sweep has millions of chunks: generate them as they are
     # scanned, never as a list.  A rest of the range that fits one chunk
-    # gains nothing from a pool.
+    # gains nothing from a pool, nor does one of fewer walk steps than the
+    # backend's _POOL_MIN_STEPS: starting the pool costs more than it saves.
     aborts = (KeyboardInterrupt,)  # and BrokenProcessPool once a pool runs
+    pool = None
     try:
-        if workers == 1 or start + 2 * (chunk_size - 1) >= hi:
+        if (workers == 1 or start + 2 * (chunk_size - 1) >= hi
+                or _steps_below(hi + 2) - _steps_below(start) < _POOL_MIN_STEPS):
             workers = 1
             for a, b in _chunk_ranges(start, hi, chunk_size):
                 merge(_scan_chunk((a, b, mode.value)), b)
@@ -649,42 +668,46 @@ def sweep(
             # each.
             chunks = _chunk_ranges(start, hi, chunk_size, workers)
             window = 2 * (workers - 1)
-            with ProcessPoolExecutor(
-                max_workers=workers - 1, initializer=_ignore_interrupts
-            ) as pool:
-                inflight = {}  # future -> (chunk index, chunk end)
-                results = {}  # chunk index -> (bad, chunk end)
-                next_merge = 0
+            pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_ignore_interrupts)
+            inflight = {}  # future -> (chunk index, chunk end)
+            results = {}  # chunk index -> (bad, chunk end)
+            next_merge = 0
 
-                def collect(done):
-                    nonlocal next_merge
-                    for fut in done:
-                        j, end = inflight.pop(fut)
-                        results[j] = fut.result(), end
-                    while next_merge in results:
-                        merge(*results.pop(next_merge))
-                        next_merge += 1
+            def collect(done):
+                nonlocal next_merge
+                for fut in done:
+                    j, end = inflight.pop(fut)
+                    results[j] = fut.result(), end
+                while next_merge in results:
+                    merge(*results.pop(next_merge))
+                    next_merge += 1
 
-                for i, (a, b) in enumerate(chunks):
-                    if len(inflight) < window and b < hi:
-                        inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
-                    elif len(results) < window or b == hi:
-                        results[i] = _scan_chunk((a, b, mode.value)), b
-                        collect([fut for fut in inflight if fut.done()])
-                    else:
-                        collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
-                        inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
-                while inflight:
+            for i, (a, b) in enumerate(chunks):
+                if len(inflight) < window and b < hi:
+                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                elif len(results) < window or b == hi:
+                    results[i] = _scan_chunk((a, b, mode.value)), b
+                    collect([fut for fut in inflight if fut.done()])
+                else:
                     collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
+                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+            while inflight:
+                collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
     except aborts as exc:
-        # Interrupted, or a pool worker died: keep the merged prefix.  A merge
-        # cut short may already list counterexamples past next_unscanned.
+        # Interrupted, or a pool worker died: keep the merged prefix, before
+        # the pool below waits for its running chunks.  A merge cut short may
+        # already list counterexamples past next_unscanned.
         if checkpoint:
             _write_checkpoint(checkpoint, mode, lo, hi, next_unscanned,
                               [n for n in found if n < next_unscanned])
         if isinstance(exc, KeyboardInterrupt):
             raise
         raise WorkerLost("a pool worker died") from exc
+    finally:
+        if pool is not None:
+            # After an abort the queued chunks are of no use; after a full
+            # run there are none.
+            pool.shutdown(cancel_futures=True)
 
     if checkpoint:
         _write_checkpoint(checkpoint, mode, lo, hi, hi + 2, found)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -345,3 +346,18 @@ class TestPlumbing:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and "qrcensus" in out
         assert f"kernel: {kernel.BACKEND}" in out
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys):
+        # A process that calls main() over and over must not pile up
+        # unreachable cycles (an argparse parser per call did) between the
+        # collector's full passes.
+        argv = ("sweep", "--from", "3", "--to", "101")
+        run_cli(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                run_cli(capsys, *argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -2,9 +2,14 @@
 
 import functools
 import inspect
+import os
 import pathlib
 import random
 import re
+import shutil
+import subprocess
+import sys
+import sysconfig
 import tracemalloc
 import types
 
@@ -117,21 +122,69 @@ def test_backends_agree_pairwise():
 
 
 def test_compiled_source_keeps_the_pure_contract():
-    # The .pyx is compiled only where Cython is installed; read as text, it
-    # must still define the pure kernel's public functions and constants.
-    pyx = (pathlib.Path(_purekernel.__file__).parent / "_speedups.pyx").read_text()
+    # The C file is compiled only where a C compiler works; read as text, its
+    # method table must still list the pure kernel's public functions, each
+    # with the pure parameters in its docstring signature, and its module
+    # must add the pure kernel's constants.
+    src = (pathlib.Path(_purekernel.__file__).parent / "_speedups.c").read_text()
+    table = re.findall(r'^    \{"(\w+)", ', src, re.M)
     compiled = {
-        name: [p.split("=")[0].split()[-1] for p in params.split(",") if p.strip()]
-        for name, params in re.findall(r"^def (\w+)\(([^)]*)\):", pyx, re.M)
+        name: [p.strip() for p in params.split(",")]
+        for name, params in re.findall(r'^     "(\w+)\(([^)]*)\)\\n--', src, re.M)
     }
     pure = {
         name: list(inspect.signature(fn).parameters)
         for name, fn in vars(_purekernel).items()
         if inspect.isfunction(fn) and not name.startswith("_")
     }
-    assert compiled == pure
+    assert sorted(table) == sorted(compiled) and compiled == pure
     for const in ("BACKEND", "MAX_DENSE_MODULUS"):
-        assert re.search(rf"^{const} = ", pyx, re.M), const
+        assert re.search(rf'\(m, "{const}", ', src), const
+        assert hasattr(_purekernel, const), const
+    assert "#define MAX_DENSE_MODULUS (1LL << 31)" in src
+    assert _purekernel.MAX_DENSE_MODULUS == 1 << 31
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Run in the built copy: the compiled module against the brute force.
+_BUILT_MATCHES_ORACLE = """
+from oracle import brute_kernel_census
+from qrcensus import _speedups, kernel
+assert kernel.BACKEND == "compiled", kernel.FALLBACK_REASON
+want = [brute_kernel_census(n) for n in range(3, 502, 2)]
+assert _speedups.small_residue_counts(3, 501) == [t[0] for t, _ in want]
+for n, (tallies, bitmap) in zip(range(3, 502, 2), want):
+    assert _speedups.census_tallies(n) == tallies, n
+    assert _speedups.residue_bitmap(n) == bitmap, n
+"""
+
+
+@pytest.mark.skipif(shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is None,
+                    reason="no C compiler")
+@pytest.mark.parametrize("cc", [None, "false"], ids=["system-cc", "no-cc"])
+def test_build_with_and_without_a_c_compiler(tmp_path, cc):
+    # A build of a copy of the sources compiles the kernel; without a C
+    # compiler it still succeeds, and the package runs pure.
+    for name in ("setup.py", "pyproject.toml", "README.md"):
+        shutil.copy(_ROOT / name, tmp_path)
+    shutil.copytree(_ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.egg-info"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path / "src"), str(_ROOT / "tests")]))
+    env.pop("CC", None)
+    if cc:
+        env["CC"] = cc
+    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    package = tmp_path / "src" / "qrcensus"
+    if cc:
+        assert {p.name for p in package.glob("_speedups*")} == {"_speedups.c"}
+        out = subprocess.run([sys.executable, "-m", "qrcensus", "--version"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert "kernel: pure" in out
+    else:
+        subprocess.run([sys.executable, "-c", _BUILT_MATCHES_ORACLE], env=env, check=True)
 
 
 def test_range_validation(backend):

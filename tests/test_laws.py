@@ -265,17 +265,20 @@ class TestQualifyingParams:
 
     def test_a3_window_enumerates_within_400_mb(self):
         # 2000000001 = 3 * 666666667: the partner prime comes from a window
-        # of q, not from a sieve of every integer up to hi // 3.
+        # of q, not from a sieve of every integer up to hi // 3.  The prime
+        # powers of L8 and A1 come from the primes up to isqrt(hi) and a
+        # window of primes p = p**1.
         pytest.importorskip("resource")
         code = (
             "import json, resource; "
             "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
             "from qrcensus.laws import qualifying_params; "
-            "print(json.dumps(list(qualifying_params('A3', 2000000000, 2000000001))))"
+            "print(json.dumps({law: list(qualifying_params(law, 2000000000, 2000000001)) "
+            "for law in ('A3', 'L8', 'A1')}))"
         )
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                              text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        assert json.loads(out.stdout) == [{"p": 3, "q": 666666667}]
+        assert json.loads(out.stdout) == {"A3": [{"p": 3, "q": 666666667}], "L8": [], "A1": []}
 
     @pytest.mark.parametrize("law", ["A2_NH_PRODUCT", "A3_RB_SEMIPRIME", "L9_PRODUCT_INEQ"])
     def test_two_prime_families_sieve_to_a_third(self, law, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -142,6 +143,35 @@ def test_records_are_immutable_validated_values(record, args, rejects):
             rec._replace(**dict(zip(record._fields, bad)))
 
 
+_USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+
+def _pool(workers):
+    """The sizes pool_sizes records for one pool sweep asking for `workers`
+    processes: none where one CPU is all there is."""
+    size = min(workers, _USABLE_CPUS) - 1
+    return [size] if size else []
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pools every range of more than one chunk, however few its walk steps
+    (laws._POOL_MIN_STEPS = 0); the sizes of the pools the sweeps start."""
+    import concurrent.futures
+
+    monkeypatch.setattr(laws, "_POOL_MIN_STEPS", 0)
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """A stand-in pool that records its sizes and the chunks submitted to it,
@@ -149,17 +179,14 @@ def inline_pool(monkeypatch):
     worker at its first submit."""
     import concurrent.futures
 
-    record = types.SimpleNamespace(sizes=[], submitted=[])
+    record = types.SimpleNamespace(sizes=[], submitted=[], shutdowns=[])
 
     class InlinePool:
         def __init__(self, max_workers, initializer=None):
             record.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            record.shutdowns.append(cancel_futures)
 
         def submit(self, fn, args):
             record.submitted.append(args[:2])
@@ -172,20 +199,22 @@ def inline_pool(monkeypatch):
 
 
 class TestParallelSweep:
-    def test_workers_do_not_change_the_result(self):
+    def test_workers_do_not_change_the_result(self, pool_sizes):
         serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, chunk_size=128)
         parallel = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=4,
                          chunk_size=128)
         assert serial.counterexamples == parallel.counterexamples
         assert serial.scanned == parallel.scanned
+        assert pool_sizes == _pool(4)
 
-    def test_workers_with_callback_order(self):
+    def test_workers_with_callback_order(self, pool_sizes):
         seen = []
         sweep(3, 4001, ThresholdMode.FLOOR_GEQ, workers=3, chunk_size=32,
               on_counterexample=seen.append)
         assert seen == [9, 15, 27]
+        assert pool_sizes == _pool(3)
 
-    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch, inline_pool):
+    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch, pool_sizes, inline_pool):
         cut = []
         real_cut = laws._chunk_ranges
 
@@ -208,7 +237,7 @@ class TestParallelSweep:
         assert out.jobs == 3
         assert out.counterexamples == (9, 15, 27)
 
-    def test_caller_and_pool_match_the_serial_run(self):
+    def test_caller_and_pool_match_the_serial_run(self, pool_sizes):
         serial_seen, pool_seen = [], []
         serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, chunk_size=32,
                        on_counterexample=serial_seen.append)
@@ -217,7 +246,22 @@ class TestParallelSweep:
         assert pooled.counterexamples == serial.counterexamples
         assert pool_seen == serial_seen == list(serial.counterexamples)
         assert serial.jobs == 1
-        assert pooled.jobs == min(2, len(os.sched_getaffinity(0)))
+        assert pooled.jobs == min(2, _USABLE_CPUS)
+        assert pool_sizes == _pool(2)
+
+    @pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
+    def test_pool_starts_at_the_backend_threshold(self, monkeypatch, inline_pool, over):
+        # The odd moduli 3..2m+1 hold m(m+1)/2 walk steps: take the largest
+        # m that stays under the backend's threshold, or the next one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(laws, "_scan_chunk", lambda args: [])
+        threshold = laws._POOL_MIN_STEPS
+        m = (math.isqrt(8 * threshold - 7) - 1) // 2 + over
+        hi = 2 * m + 1
+        assert (_steps(3, hi) >= threshold) == over
+        out = sweep(3, hi, workers=2, chunk_size=256)
+        assert out.jobs == 1 + over
+        assert inline_pool.sizes == ([1] if over else [])
 
 
 def _steps(a, b):
@@ -264,12 +308,13 @@ class TestChunkRanges:
             > _steps(3, 10001) / 2
 
     def test_short_pool_sweep_splits_the_steps_between_pool_and_caller(
-            self, monkeypatch, inline_pool):
+            self, monkeypatch, pool_sizes, inline_pool):
         # Pool chunks that are done at once leave the caller the same chunk
         # as slow ones: the pool gets the first half of the steps, the
         # caller the last chunk, the other half.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         sweep(3, 10001, ThresholdMode.STRICT_QUARTER, workers=2)
+        assert inline_pool.sizes == [1]
         assert inline_pool.submitted == [(3, 4097), (4099, 7071)]
         assert _steps(3, 7071) * 2 == pytest.approx(_steps(3, 10001), rel=1e-3)
 
@@ -280,7 +325,7 @@ class TestChunkRanges:
             assert list(laws._chunk_ranges(3, 60001, 2048, parts)) == list(
                 _moduli_cut(3, 60001, 2048))
 
-    def test_default_pool_sweep_matches_serial(self):
+    def test_default_pool_sweep_matches_serial(self, pool_sizes):
         serial_seen, pool_seen = [], []
         serial = sweep(3, 10001, ThresholdMode.STRICT_QUARTER,
                        on_counterexample=serial_seen.append)
@@ -289,6 +334,7 @@ class TestChunkRanges:
         assert len(serial.counterexamples) == 609
         assert pooled.counterexamples == serial.counterexamples
         assert pool_seen == serial_seen == list(serial.counterexamples)
+        assert pool_sizes == _pool(2)
 
 
 class TestCheckpoints:
@@ -402,7 +448,8 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="write"):
             sweep(3, 501, checkpoint=str(target))
 
-    def test_parallel_interrupt_then_parallel_resume(self, tmp_path, monkeypatch):
+    def test_parallel_interrupt_then_parallel_resume(self, tmp_path, monkeypatch,
+                                                     pool_sizes):
         path = tmp_path / "sweep.json"
         uninterrupted = sweep(3, 4001, ThresholdMode.STRICT_QUARTER)
         _stop_after_writes(monkeypatch, 7)
@@ -412,6 +459,32 @@ class TestCheckpoints:
         resumed = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=3,
                         checkpoint=str(path), resume=True, chunk_size=50)
         assert resumed.counterexamples == uninterrupted.counterexamples
+        assert pool_sizes == _pool(3) * 2
+
+    def test_abort_checkpoint_precedes_the_pool_wait(self, tmp_path, monkeypatch,
+                                                      pool_sizes, inline_pool):
+        # The checkpoint of an interrupted pool sweep is on disk before the
+        # pool waits for its running chunks, and the queued ones are cancelled.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        events = []
+        real = laws._write_checkpoint
+
+        def write(*args):
+            real(*args)
+            events.append(("checkpoint", len(inline_pool.shutdowns)))
+
+        def interrupt(n):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(laws, "_write_checkpoint", write)
+        path = tmp_path / "sweep.json"
+        with pytest.raises(KeyboardInterrupt):
+            sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=2, chunk_size=100,
+                  checkpoint=str(path), on_counterexample=interrupt)
+        assert inline_pool.sizes == [1]
+        assert events == [("checkpoint", 0)]
+        assert inline_pool.shutdowns == [True]
+        assert json.loads(path.read_text())["next_unscanned"] == 3
 
     def test_single_chunk_with_many_workers(self):
         out = sweep(3, 101, workers=4, chunk_size=10_000)
@@ -433,7 +506,7 @@ class TestChunkStreaming:
             tracemalloc.stop()
         assert peak < 2 << 20
 
-    def test_pool_sweep_draws_chunks_as_it_submits(self, tmp_path, monkeypatch):
+    def test_pool_sweep_draws_chunks_as_it_submits(self, tmp_path, monkeypatch, pool_sizes):
         drawn = 0
         real = laws._chunk_ranges
 
@@ -449,11 +522,10 @@ class TestChunkStreaming:
             sweep(3, 400001, workers=2, chunk_size=1, checkpoint_every=1,
                   checkpoint=str(tmp_path / "sweep.json"))
         assert 0 < drawn < 1000
+        assert pool_sizes == _pool(2)
 
 
 _ABORTED = (3, 30001)  # strict: every prime p = 1 (mod 4) is a counterexample
-_USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
 _needs_a_pool = pytest.mark.skipif(_USABLE_CPUS < 2, reason="a pool sweep needs two usable CPUs")
 
 
@@ -467,7 +539,7 @@ class TestAborts:
     """An interrupt or a lost pool worker leaves a checkpoint of the merged
     prefix, and a resume from it finds what an uninterrupted run finds."""
 
-    def test_lost_worker(self, tmp_path, uninterrupted):
+    def test_lost_worker(self, tmp_path, uninterrupted, pool_sizes):
         from concurrent.futures.process import BrokenProcessPool
 
         path = str(tmp_path / "ck.json")
@@ -480,6 +552,7 @@ class TestAborts:
             sweep(*_ABORTED, ThresholdMode.STRICT_QUARTER, workers=2,
                   checkpoint=path, on_counterexample=kill_the_pool)
         assert isinstance(lost.value.__cause__, BrokenProcessPool)
+        assert pool_sizes == [1]
         with open(path, encoding="utf-8") as fh:
             assert 3 < json.load(fh)["next_unscanned"] <= _ABORTED[1]
         resumed = sweep(*_ABORTED, ThresholdMode.STRICT_QUARTER, workers=2,
