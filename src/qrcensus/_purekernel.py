@@ -1,18 +1,16 @@
 """Pure-Python census kernels, the fallback when the compiled module is absent.
 
-Same contract as the compiled backend (see kernel.py).  Every function
-derives from one square walk, _mark(n), which has no branch beyond the
-reduction mod n.  Its table spends a byte per value of [0, n) where the
-compiled backend spends a bit: the walk then stores without bit arithmetic,
-and the counts and sums come from bytearray.count and itertools.compress
-instead of a Python loop.  residue_bitmap packs the bytes into the compiled
-backend's bit layout, so both return equal bytes.  The zero-square roots of
-census_tallies come from the factorization of n, not from the walk.
+Same contract as the compiled backend (see kernel.py): the square walk and
+what it counts, nothing more; census.tallies adds the zero-square roots,
+which come from the factorization of n.  Every function derives from one
+walk, _mark(n), which has no branch beyond the reduction mod n.  Its table
+spends a byte per value of [0, n) where the compiled backend spends a bit:
+the walk then stores without bit arithmetic, and the counts and sums come
+from bytearray.count and itertools.compress instead of a Python loop.  residue_bitmap packs the bytes into the compiled
+backend's bit layout, so both return equal bytes.
 """
 
 from itertools import compress
-
-from qrcensus.modmath import factorize as _factorize
 
 BACKEND = "pure"
 
@@ -26,6 +24,8 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_odd_range(lo, hi):
+    if hi >= MAX_DENSE_MODULUS:
+        raise ValueError(f"dense census supports n < 2**31, got {hi}")
     if lo % 2 == 0 or hi % 2 == 0 or not 3 <= lo <= hi:
         raise ValueError(f"need odd 3 <= lo <= hi, got [{lo}, {hi}]")
 
@@ -67,10 +67,7 @@ def census_tallies(n):
     """Counts and sums of the residue census of n.
 
     Returns (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh,
-    sum_nh, zero_square_roots) where the roots are the x <= (n-1)/2 with
-    x**2 = 0 mod n.  Those come from the factorization rather than the
-    walk: p**e divides x**2 exactly when p**ceil(e/2) divides x, so the
-    roots are the multiples of m = prod p**ceil(e/2) up to (n-1)/2.
+    sum_nh).
     """
     _check_modulus(n)
     half = (n - 1) >> 1
@@ -85,11 +82,7 @@ def census_tallies(n):
     sum_n = n * (n - 1) // 2 - sum_r
     sum_nb = half * (half + 1) // 2 - sum_rb
     sum_nh = sum_n - sum_nb
-    m = 1
-    for p, e in _factorize(n).items():
-        m *= p ** ((e + 1) >> 1)
-    zeros = list(range(m, half + 1, m))
-    return (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh, zeros)
+    return (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh)
 
 
 def residue_bitmap(n):

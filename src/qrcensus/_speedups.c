@@ -5,9 +5,8 @@ from mark(), which keeps x**2 mod n by adding 2x-1 and subtracting n at
 most once.  Where _purekernel spends a byte per value of [0, n), mark()
 sets one bit, in residue_bitmap's layout (bit y & 7 of byte y >> 3), so a
 table takes n/8 bytes.  With n < 2**31 every value and every census sum
-fits a signed 64-bit integer.  The zero-square roots of census_tallies are
-the multiples of prod p**ceil(e/2) over the prime powers p**e exactly
-dividing n, found by trial division.
+fits a signed 64-bit integer.  census_tallies returns the ten counts and
+sums of the walk; census.tallies adds the zero-square roots.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -125,16 +124,11 @@ small_residue_counts(PyObject *self, PyObject *args, PyObject *kwargs)
     arg lo, hi;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&O&", names, to_arg, &lo, to_arg, &hi))
         return NULL;
-    int lo_gt_hi = lo.v > hi.v;
-    if (lo.v == hi.v && (lo_gt_hi = PyObject_RichCompareBool(lo.obj, hi.obj, Py_GT)) < 0)
-        return NULL;
-    if (lo.v % 2 == 0 || hi.v % 2 == 0 || lo.v < 3 || lo_gt_hi)
+    if (hi.v >= MAX_DENSE_MODULUS)
+        return PyErr_Format(PyExc_ValueError, "dense census supports n < 2**31, got %S", hi.obj);
+    if (lo.v % 2 == 0 || hi.v % 2 == 0 || lo.v < 3 || lo.v > hi.v)
         return PyErr_Format(PyExc_ValueError, "need odd 3 <= lo <= hi, got [%S, %S]",
                             lo.obj, hi.obj);
-    if (hi.v >= PY_SSIZE_T_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "cannot fit 'int' into an index-sized integer");
-        return NULL;
-    }
     unsigned char *table = new_table(hi.v);
     PyObject *out = table == NULL ? NULL : PyList_New(0);
     for (i64 n = lo.v; out != NULL && n <= hi.v; n += 2) {
@@ -167,27 +161,10 @@ census_tallies(PyObject *self, PyObject *args, PyObject *kwargs)
     for (i64 y = half + 1; y < n; y++)
         sum_rh += y * bit(table, y);
     PyMem_Free(table);
-    i64 m = 1, rest = n;
-    for (i64 p = 3; p * p <= rest; p += 2) {
-        for (int e = 0; rest % p == 0; e++) {
-            rest /= p;
-            m *= e % 2 == 0 ? p : 1;
-        }
-    }
-    m *= rest;
-    PyObject *zeros = PyList_New(0);
-    for (i64 x = m; zeros != NULL && x <= half; x += m) {
-        PyObject *item = PyLong_FromLongLong(x);
-        if (item == NULL || PyList_Append(zeros, item) < 0)
-            Py_CLEAR(zeros);
-        Py_XDECREF(item);
-    }
-    if (zeros == NULL)
-        return NULL;
     i64 sum_r = sum_rb + sum_rh, sum_n = n * (n - 1) / 2 - sum_r;
     i64 sum_nb = half * (half + 1) / 2 - sum_rb;
-    return Py_BuildValue("(LLLLLLLLLLN)", r_b, half - r_b, r_h, (n - 1 - half) - r_h,
-                         sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_n - sum_nb, zeros);
+    return Py_BuildValue("(LLLLLLLLLL)", r_b, half - r_b, r_h, (n - 1 - half) - r_h,
+                         sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_n - sum_nb);
 }
 
 static PyObject *
@@ -212,8 +189,7 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "census_tallies(n)\n--\n\n"
      "Counts and sums of the residue census of n: (r_b, n_b, r_h, n_h, sum_r,\n"
-     "sum_n, sum_rb, sum_nb, sum_rh, sum_nh, zero_square_roots), the roots being\n"
-     "the x <= (n-1)/2 with x**2 = 0 mod n."},
+     "sum_n, sum_rb, sum_nb, sum_rh, sum_nh)."},
     {"residue_bitmap", (PyCFunction)(void (*)(void))residue_bitmap,
      METH_VARARGS | METH_KEYWORDS,
      "residue_bitmap(n)\n--\n\n"

@@ -11,11 +11,12 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
-from qrcensus.modmath import as_modulus
+from qrcensus.modmath import as_modulus, factorize
 
 
 class CensusTallies(NamedTuple):
-    """The ten counts/sums of one census, plus the small zero-square roots."""
+    """The ten counts/sums of one census, which the kernel's walk gives, plus
+    the small zero-square roots, which come from least_zero_root."""
 
     r_b: int
     n_b: int
@@ -52,10 +53,23 @@ class ResidueCensus(NamedTuple):
     details: Optional[tuple] = None
 
 
+def least_zero_root(factors) -> int:
+    """The least x >= 1 with x**2 = 0 mod n, given n's factorization {p: e}.
+
+    p**e divides x**2 exactly when p**ceil(e/2) divides x, so that x is
+    m = prod p**ceil(e/2) and the zero-square roots are the multiples of m
+    below n; squarefree n gives m = n and none.
+    """
+    m = 1
+    for p, e in factors.items():
+        m *= p ** ((e + 1) >> 1)
+    return m
+
+
 @lru_cache(maxsize=65536)
 def _incremental_tallies(n):
-    t = kernel.census_tallies(n)
-    return CensusTallies(*t[:10], tuple(t[10]))
+    m = least_zero_root(factorize(n))
+    return CensusTallies(*kernel.census_tallies(n), tuple(range(m, (n + 1) >> 1, m)))
 
 
 def tallies(n) -> CensusTallies:

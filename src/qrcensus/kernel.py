@@ -45,8 +45,8 @@ def small_residue_counts(lo, hi):
     """r_b(n) for every odd n in [lo, hi]: the backend's walk for primes
     and proper prime powers, the CRT over prime-power tables otherwise.
 
-    The census ceiling is checked here, for both backends, before either
-    allocates its per-modulus table.  A prime-power table is built once
+    The census ceiling is checked before any table is built, here as in
+    each backend's range function.  A prime-power table is built once
     per call and kept while a later modulus of the range can still use
     it: a factor q of n while n + 2q <= hi, a walked prime power n while
     3n <= hi (its count then comes from its own table).  The kept tables

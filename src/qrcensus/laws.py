@@ -199,16 +199,34 @@ def _prime_pairs(lo, hi):
             yield p, q
 
 
+def _iroot(x, k):
+    """floor(x ** (1/k)) for x >= 0, exactly."""
+    r = round(x ** (1 / k))
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
 def _prime_products(lo, hi):
-    # p**m * q**k can reach lo when pq does not, so every pair up to hi.
-    for p, q in _prime_pairs(3, hi):
+    # For fixed p < q, m and k, p**m * q**k is in [lo, hi] exactly when q**k
+    # is in [a, b] = [max(ceil(lo/p**m), 1), hi // p**m], so when q is in the
+    # window [iroot(a - 1, k) + 1, iroot(b, k)].  Each p's tuples are
+    # merged into (q, m, k) order.
+    for p in _primes_between(3, math.isqrt(hi)):
+        found = []
         m = 1
-        while p**m * q <= hi:
+        while p**m * (p + 2) <= hi:
+            a, b = max(-(-lo // p**m), 1), hi // p**m
             k = 1
-            while p**m * q**k <= hi:
-                yield p, q, m, k
+            while (p + 2) ** k <= b:
+                window = _primes_between(max(p + 2, _iroot(a - 1, k) + 1), _iroot(b, k))
+                found += ((q, m, k) for q in window)
                 k += 1
             m += 1
+        for q, m, k in sorted(found):
+            yield p, q, m, k
 
 
 class _Family(NamedTuple):

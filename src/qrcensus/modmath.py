@@ -177,9 +177,9 @@ def factorize(n: int) -> dict:
     """Prime factorization {p: e} by trial division.
 
     It runs once per modulus of a sweep (kernel.small_residue_counts) and
-    once per census_tallies call of the pure kernel: up to sqrt(n)/2 trial
-    divisors, against the n/2 steps of the square walk each of those makes
-    or replaces, and no table of its own.
+    once per census (census.tallies): up to sqrt(n)/2 trial divisors,
+    against the n/2 steps of the square walk each of those makes or
+    replaces, and no table of its own.
     """
     n = operator.index(n)
     if n < 1:

@@ -8,7 +8,7 @@ factor's matching power, which is only possible when n is composite.
 
 from typing import NamedTuple
 
-from qrcensus.census import small_squares
+from qrcensus.census import least_zero_root, small_squares
 from qrcensus.modmath import as_modulus, factorize
 
 
@@ -83,18 +83,11 @@ def collision_classes(n) -> list:
 
 
 def zero_square_roots(n) -> frozenset:
-    """All x in [1, n-1] with x**2 = 0 mod n.
-
-    These are the multiples of prod(p**ceil(e/2)) over the factorization
-    of n; squarefree n has none.
-    """
+    """All x in [1, n-1] with x**2 = 0 mod n: the multiples of
+    least_zero_root; squarefree n has none."""
     n = as_modulus(n)
-    k = 1
-    for p, e in factorize(n).items():
-        k *= p ** ((e + 1) // 2)
-    if k >= n:
-        return frozenset()
-    return frozenset(range(k, n, k))
+    m = least_zero_root(factorize(n))
+    return frozenset(range(m, n, m))
 
 
 def witness(pair: CollisionPair) -> WitnessCheck:

@@ -47,17 +47,23 @@ def brute_census(n):
 
 
 def brute_kernel_census(n):
-    """brute_census(n) in the kernel's formats: the census_tallies tuple
-    (zero-square roots as an ascending list) and the residue_bitmap bytes."""
+    """brute_census(n) in the kernel's formats: the census_tallies tuple of
+    ten counts and sums, and the residue_bitmap bytes."""
     c = brute_census(n)
     tallies = tuple(c[k] for k in (
         "r_b", "n_b", "r_h", "n_h", "sum_r", "sum_n", "sum_rb", "sum_nb",
         "sum_rh", "sum_nh",
-    )) + (sorted(c["zero_square_roots"]),)
+    ))
     bitmap = bytearray((n >> 3) + 1)
     for y in c["residues"]:
         bitmap[y >> 3] |= 1 << (y & 7)
     return tallies, bytes(bitmap)
+
+
+def brute_zero_square_roots(n):
+    """The x in [1, (n-1)/2] with x**2 = 0 mod n, ascending, as
+    census.tallies holds them."""
+    return tuple(x for x in range(1, (n - 1) // 2 + 1) if x * x % n == 0)
 
 
 def brute_smallest_root(y, n):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load_fixture
-from oracle import brute_census, brute_is_prime, brute_kernel_census
+from oracle import brute_census, brute_is_prime, brute_kernel_census, brute_zero_square_roots
 from qrcensus import kernel
 from qrcensus.census import tallies
 from qrcensus.laws import (
@@ -212,9 +212,10 @@ def test_c09_strategy_and_oracle_equivalence():
     with criterion(9, "kernel census == brute-force census for odd n <= 10001; "
                       "Euler criterion == set membership for primes < 10000"):
         for n in range(3, 10002, 2):
-            tallies, bitmap = brute_kernel_census(n)
-            assert kernel.census_tallies(n) == tallies, n
+            want, bitmap = brute_kernel_census(n)
+            assert kernel.census_tallies(n) == want, n
             assert kernel.residue_bitmap(n) == bitmap, n
+            assert tallies(n).zero_square_roots == brute_zero_square_roots(n), n
         for p in sieve_primes(9999):
             if p == 2:
                 continue

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle import brute_census, brute_smallest_root
+from oracle import brute_census, brute_smallest_root, brute_zero_square_roots
 from qrcensus import kernel
 from qrcensus.census import (
     census,
@@ -63,6 +63,13 @@ class TestCensusRecord:
                 assert getattr(c, field) == want[field], (n, field)
             assert c.residues == want["residues"]
             assert c.zero_square_roots == want["zero_square_roots"]
+
+    def test_zero_square_roots_match_brute_force(self):
+        # The roots come from the factorization: the multiples of
+        # prod p**ceil(e/2).  Prime powers and products of squares put many
+        # of them in the small half; test_c09 covers every odd n <= 10001.
+        for n in (3**12, 5**8, 7**6, 11**5, 3**4 * 5**3 * 7**2, 9 * 25 * 49 * 121):
+            assert tallies(n).zero_square_roots == brute_zero_square_roots(n), n
 
     def test_internal_consistency(self):
         rng = random.Random(5)

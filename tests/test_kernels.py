@@ -39,9 +39,8 @@ def test_counts_match_brute_force(backend):
 
 
 def test_tallies_match_brute_force(backend):
-    # The prime powers and products of squares check the zero-square roots,
-    # which the pure kernel takes from the factorization: the multiples of
-    # prod p**ceil(e/2).
+    # The prime powers and products of squares walk through many squares
+    # that are 0 mod n, which the walk stores and then clears.
     for n in list(range(3, 502, 2)) + [3757, 3**12, 5**8, 7**6, 11**5,
                                        3**4 * 5**3 * 7**2, 9 * 25 * 49 * 121]:
         assert backend.census_tallies(n) == brute_kernel_census(n)[0], n
@@ -207,15 +206,18 @@ def test_census_modulus_guard(backend):
 
 
 def test_range_counts_ceiling_checked_before_allocating(backend, monkeypatch):
-    # kernel.small_residue_counts guards every backend; without the check
-    # the pure walk allocates a ~1 GB table for this modulus.
+    # kernel.small_residue_counts and each backend's own check the ceiling
+    # first.  Without the check the pure walk allocates a 2 GB table for
+    # this modulus, and the compiled one a 256 MB table (PyMem_Malloc, which
+    # tracemalloc sees) before it walks 10**9 steps.
     monkeypatch.setattr(kernel, "_impl", backend)
     n = kernel.MAX_DENSE_MODULUS + 1
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"n < 2\*\*31"):
-            kernel.small_residue_counts(n, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for impl in (kernel, backend):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+                impl.small_residue_counts(n, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, impl

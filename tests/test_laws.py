@@ -267,18 +267,21 @@ class TestQualifyingParams:
         # 2000000001 = 3 * 666666667: the partner prime comes from a window
         # of q, not from a sieve of every integer up to hi // 3.  The prime
         # powers of L8 and A1 come from the primes up to isqrt(hi) and a
-        # window of primes p = p**1.
+        # window of primes p = p**1; the products of L9 and A2 from a window
+        # of q**k for each p**m.
         pytest.importorskip("resource")
         code = (
             "import json, resource; "
             "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
             "from qrcensus.laws import qualifying_params; "
             "print(json.dumps({law: list(qualifying_params(law, 2000000000, 2000000001)) "
-            "for law in ('A3', 'L8', 'A1')}))"
+            "for law in ('A3', 'L8', 'A1', 'L9', 'A2')}))"
         )
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                              text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        assert json.loads(out.stdout) == {"A3": [{"p": 3, "q": 666666667}], "L8": [], "A1": []}
+        product = [{"p": 3, "q": 666666667, "m": 1, "k": 1}]
+        assert json.loads(out.stdout) == {"A3": [{"p": 3, "q": 666666667}], "L8": [], "A1": [],
+                                          "L9": product, "A2": product}
 
     @pytest.mark.parametrize("law", ["A2_NH_PRODUCT", "A3_RB_SEMIPRIME", "L9_PRODUCT_INEQ"])
     def test_two_prime_families_sieve_to_a_third(self, law, monkeypatch):
@@ -299,6 +302,12 @@ class TestQualifyingParams:
         for law in LAW_IDS:
             for params in qualifying_params(law, 3, 301):
                 check_law(law, **params)  # must not raise
+
+    def test_a_lower_bound_below_three_enumerates_from_three(self):
+        for law in LAW_IDS:
+            want = list(qualifying_params(law, 3, 301))
+            for lo in (-5, 0, 1):
+                assert list(qualifying_params(law, lo, 301)) == want, (law, lo)
 
 
 class TestRecurrence:
