@@ -16,20 +16,6 @@ from qrcensus.census import (
     smallest_sqrt,
     tallies,
 )
-from qrcensus.laws import (
-    Classification,
-    CheckpointError,
-    LAW_IDS,
-    LawReport,
-    SweepOutcome,
-    ThresholdMode,
-    check_law,
-    classify,
-    predicted_prime,
-    qualifying_params,
-    rb_prime_power_predicted,
-    sweep,
-)
 from qrcensus.modmath import (
     MAX_MODULUS,
     OddModulus,
@@ -40,27 +26,40 @@ from qrcensus.modmath import (
     pow_mod,
     sieve_primes,
 )
-from qrcensus.redundancy import (
-    CollisionPair,
-    WitnessCheck,
-    collision_classes,
-    collision_pairs,
-    witness,
-    zero_square_roots,
+
+# Every command needs census, modmath and the kernel under them, and
+# importing census eagerly keeps `qrcensus.census` bound to the function,
+# not the submodule.  The other public names load their module on first
+# access (PEP 562), so a process compiles only the modules it runs.
+_LAZY = (
+    dict.fromkeys((
+        "Classification", "CheckpointError", "LAW_IDS", "LawReport", "SweepOutcome",
+        "ThresholdMode", "check_law", "classify", "predicted_prime",
+        "qualifying_params", "rb_prime_power_predicted", "sweep",
+    ), "qrcensus.laws")
+    | dict.fromkeys((
+        "CollisionPair", "WitnessCheck", "collision_classes", "collision_pairs",
+        "witness", "zero_square_roots",
+    ), "qrcensus.redundancy")
+    | dict.fromkeys((
+        "ExportFormat", "HighlightMode", "Ordering", "TableFormat", "TableSpec",
+        "export_census", "import_census", "mult_table_grid", "render_annex1",
+        "render_annex2", "render_mult_table",
+    ), "qrcensus.report")
 )
-from qrcensus.report import (
-    ExportFormat,
-    HighlightMode,
-    Ordering,
-    TableFormat,
-    TableSpec,
-    export_census,
-    import_census,
-    mult_table_grid,
-    render_annex1,
-    render_annex2,
-    render_mult_table,
-)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__import__(module, fromlist=(name,)), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CensusTallies",

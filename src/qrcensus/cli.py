@@ -12,34 +12,48 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from qrcensus import __version__, kernel
 from qrcensus.census import census
-from qrcensus.laws import (
-    CheckpointError,
-    LAW_IDS,
-    ThresholdMode,
-    WorkerLost,
-    check_law,
-    classify,
-    qualifying_params,
-    resolve_law_id,
-    sweep,
+
+# The handlers call these names as module globals because the benchmark's
+# tracer (perfbench/tracer.py) wraps them here.  Each module loads only
+# when a command runs it: main() binds the names of its command's modules
+# first, and __getattr__ binds them for callers from outside.
+_LAZY = (
+    dict.fromkeys(("Fraction",), "fractions")
+    | dict.fromkeys((
+        "CheckpointError", "LAW_IDS", "ThresholdMode", "WorkerLost", "check_law",
+        "classify", "qualifying_params", "resolve_law_id", "sweep",
+    ), "qrcensus.laws")
+    | dict.fromkeys((
+        "collision_classes", "collision_pairs", "witness", "zero_square_roots",
+    ), "qrcensus.redundancy")
+    | dict.fromkeys((
+        "ExportFormat", "HighlightMode", "Ordering", "TableFormat", "TableSpec",
+        "census_row", "export_census", "render_annex1", "render_annex2",
+        "render_mult_table",
+    ), "qrcensus.report")
 )
-from qrcensus.redundancy import collision_classes, collision_pairs, witness, zero_square_roots
-from qrcensus.report import (
-    ExportFormat,
-    HighlightMode,
-    Ordering,
-    TableFormat,
-    TableSpec,
-    census_row,
-    export_census,
-    render_annex1,
-    render_annex2,
-    render_mult_table,
-)
+
+
+def _bind(module_name):
+    """Bind the names of one module, keeping any already set (a wrapper)."""
+    __import__(module_name)
+    module = sys.modules[module_name]
+    names = globals()
+    for name, home in _LAZY.items():
+        if home == module_name:
+            names.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,7 +61,11 @@ EXIT_IO = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_LAW_VIOLATION = 4
 
-_MODES = {m.value: m for m in ThresholdMode}
+# The parser's choices, as literals so that it needs neither laws nor
+# report: the values of ThresholdMode, Ordering and TableFormat.
+_MODE_CHOICES = ("corrected", "floor", "strict")
+_ORDER_CHOICES = ("natural", "residues-first")
+_TABLE_FORMAT_CHOICES = ("ansi", "plain", "csv", "html")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="residue-count verdict vs the primality oracle")
     p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=sorted(_MODES), default="corrected")
+    p.add_argument("--mode", choices=_MODE_CHOICES, default="corrected")
     add_common(p, ["json", "csv"], "json")
 
     p = sub.add_parser("sweep", help="classify every odd n in a range")
     p.add_argument("--from", dest="lo", type=int, required=True, metavar="A")
     p.add_argument("--to", dest="hi", type=int, required=True, metavar="B")
-    p.add_argument("--mode", choices=sorted(_MODES), default="corrected")
+    p.add_argument("--mode", choices=_MODE_CHOICES, default="corrected")
     p.add_argument("--jobs", type=int, default=1,
                    help="scanning processes: this one plus a pool of JOBS - 1 "
                         "workers, at most one per usable CPU; a range too short "
@@ -114,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="modular multiplication table")
     p.add_argument("n", type=int)
-    p.add_argument("--order", choices=[o.value for o in Ordering], default="natural")
+    p.add_argument("--order", choices=_ORDER_CHOICES, default="natural")
     p.add_argument("--highlight", choices=["residues", "small", "none"],
                    default="residues",
                    help="mark residues (default), mark values <= (n-1)/2, or no marks")
-    add_common(p, [f.value for f in TableFormat], "plain")
+    add_common(p, _TABLE_FORMAT_CHOICES, "plain")
 
     p = sub.add_parser("pairs", help="square collisions, witnesses and zero squares")
     p.add_argument("n", type=int)
@@ -156,7 +174,7 @@ def _cmd_census(args, out):
 
 
 def _cmd_classify(args, out):
-    c = classify(args.n, _MODES[args.mode])
+    c = classify(args.n, ThresholdMode(args.mode))
     doc = {
         "n": c.n,
         "mode": c.mode.value,
@@ -175,7 +193,7 @@ def _cmd_classify(args, out):
 
 
 def _cmd_sweep(args, out):
-    mode = _MODES[args.mode]
+    mode = ThresholdMode(args.mode)
     if args.format == "csv":
         out.write("n\n")
         emit = lambda n: out.write(f"{n}\n")
@@ -316,14 +334,15 @@ def _cmd_annex(args, out):
     return EXIT_OK
 
 
+# Each command's handler and the modules whose names it calls.
 _COMMANDS = {
-    "census": _cmd_census,
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-    "laws": _cmd_laws,
-    "table": _cmd_table,
-    "pairs": _cmd_pairs,
-    "annex": _cmd_annex,
+    "census": (_cmd_census, ("qrcensus.report",)),
+    "classify": (_cmd_classify, ("qrcensus.laws",)),
+    "sweep": (_cmd_sweep, ("qrcensus.laws",)),
+    "laws": (_cmd_laws, ("qrcensus.laws", "fractions")),
+    "table": (_cmd_table, ("qrcensus.report",)),
+    "pairs": (_cmd_pairs, ("qrcensus.redundancy",)),
+    "annex": (_cmd_annex, ("qrcensus.report",)),
 }
 
 
@@ -337,7 +356,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
-    handler = _COMMANDS[args.command]
+    handler, modules = _COMMANDS[args.command]
+    for module in modules:
+        _bind(module)
     out = sys.stdout
     opened = False
     try:
@@ -348,7 +369,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _diag(f"qrcensus {args.command}: error: {exc}")
         return EXIT_USAGE
-    except CheckpointError as exc:
+    # An except clause's class is looked up whenever an exception reaches
+    # it, and a command that runs no laws code has no laws names bound.
+    except globals().get("CheckpointError", ()) as exc:
         _diag(f"qrcensus {args.command}: checkpoint error: {exc}")
         return EXIT_IO
     except OSError as exc:
@@ -357,7 +380,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _diag(f"qrcensus {args.command}: interrupted{_resume_hint(args)}")
         return EXIT_IO
-    except WorkerLost as exc:
+    except globals().get("WorkerLost", ()) as exc:
         _diag(f"qrcensus {args.command}: {exc}{_resume_hint(args)}")
         return EXIT_IO
     finally:

@@ -31,6 +31,10 @@ ANNEX2_ROOT_OVERRIDES = {(33, 4): 13}
 #: Couples per row of the annex 1 listing, as in the archived listing.
 ANNEX1_PAIRS_PER_LINE = 11
 
+#: Tables hold (n-1)**2 cells: n = 2049 already takes 2.7 s and 377 MB as
+#: HTML, and n = 4097 runs out of memory while building the grid.
+MAX_TABLE_MODULUS = 1 << 11
+
 CENSUS_FIELDS = (
     "n", "r_b", "n_b", "r_h", "n_h",
     "sum_r", "sum_n", "sum_rb", "sum_nb", "sum_rh", "sum_nh",
@@ -84,6 +88,8 @@ def mult_table_grid(n, ordering: Ordering):
     quadrant (residue count for residues-first, half range otherwise).
     """
     n = as_modulus(n)
+    if n >= MAX_TABLE_MODULUS:
+        raise ValueError(f"table supports n < 2**11, got {n}")
     residues = quadratic_residue_set(n)
     if ordering is Ordering.RESIDUES_FIRST:
         if not is_prime_oracle(n):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import load_fixture
 from qrcensus import cli, kernel
-from qrcensus.laws import WorkerLost
+from qrcensus.laws import ThresholdMode, WorkerLost
 from qrcensus.cli import main
+from qrcensus.report import Ordering, TableFormat
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,11 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", "7", "--highlight", "none")
         assert "*" not in out
 
+    def test_modulus_above_table_ceiling_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "2049", "--format", "html")
+        assert code == 1 and out == ""
+        assert err == "qrcensus table: error: table supports n < 2**11, got 2049\n"
+
 
 class TestPairsCommand:
     def test_json(self, capsys):
@@ -318,6 +324,17 @@ class TestAnnexCommand:
 
 
 class TestPlumbing:
+    # The parser holds its choices as literals so that it needs neither
+    # laws nor report; each must stay the values of its enum.
+    @pytest.mark.parametrize("choices, enum", [
+        (cli._MODE_CHOICES, ThresholdMode),
+        (cli._ORDER_CHOICES, Ordering),
+        (cli._TABLE_FORMAT_CHOICES, TableFormat),
+    ])
+    def test_parser_choices_are_the_enum_values(self, choices, enum):
+        assert sorted(choices) == sorted(m.value for m in enum)
+        assert len(set(choices)) == len(choices)
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "census", "35", "--output", str(target))

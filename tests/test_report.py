@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import load_fixture
 from qrcensus.census import census
 from qrcensus.modmath import sieve_primes
 from qrcensus.report import (
+    MAX_TABLE_MODULUS,
     ExportFormat,
     HighlightMode,
     Ordering,
@@ -62,6 +64,17 @@ class TestGrids:
     def test_residues_first_needs_prime(self):
         with pytest.raises(ValueError):
             mult_table_grid(15, Ordering.RESIDUES_FIRST)
+
+    def test_ceiling_checked_before_allocating(self):
+        n = MAX_TABLE_MODULUS + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"table supports n < 2\*\*11, got 2049"):
+                mult_table_grid(n, Ordering.NATURAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_mirror_symmetry_200_random_prime_tables(self):
         # cell(a, p-b) = p - cell(a, b) always; the visual form (reversing
