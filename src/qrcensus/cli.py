@@ -74,13 +74,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _num(value):
-    """JSON-friendly law side: int stays int, a ratio becomes 'a/b'."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
+def _num(value, csv=False):
+    """A law report's value as JSON text, or with csv=True as a CSV field.
+
+    The values are ints, bools, None and Fractions: an int as itself, a
+    bool as true/false, None as null (CSV: empty), and a Fraction as its
+    int when integral, else as the string "a/b" (CSV: a/b).
+    """
+    if type(value) is int:
         return str(value)
-    return value
+    if type(value) is Fraction:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return str(value) if csv else f'"{value}"'
+    if value is None:
+        return "" if csv else "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    raise TypeError(f"no report text for {type(value).__name__}")
 
 
 def _diag(msg):
@@ -229,41 +240,43 @@ def _cmd_sweep(args, out):
     return EXIT_COUNTEREXAMPLE if outcome.counterexamples else EXIT_OK
 
 
-def _report_doc(rep):
-    doc = {
-        "law": rep.law_id,
-        "params": dict(rep.params),
-        "lhs": _num(rep.lhs),
-        "rhs": _num(rep.rhs),
-        "holds": rep.holds,
-    }
+def _report_line(rep):
+    """One report as a JSON line.  Law ids and parameter and note names are
+    ASCII identifiers, so they need no escaping."""
+    params = ", ".join([f'"{name}": {_num(v)}' for name, v in rep.params])
+    line = (f'{{"law": "{rep.law_id}", "params": {{{params}}}, '
+            f'"lhs": {_num(rep.lhs)}, "rhs": {_num(rep.rhs)}, "holds": {_num(rep.holds)}')
     if rep.rel_error is not None:
-        doc["rel_error"] = _num(rep.rel_error)
+        line += f', "rel_error": {_num(rep.rel_error)}'
     if rep.notes:
-        doc["notes"] = dict(rep.notes)
-    return doc
+        notes = ", ".join([f'"{name}": {_num(v)}' for name, v in rep.notes])
+        line += f', "notes": {{{notes}}}'
+    return line + "}\n"
 
 
 def _cmd_laws(args, out):
     law_ids = list(LAW_IDS) if args.law == "all" else [resolve_law_id(args.law)]
+    csv = args.format == "csv"
     violations = 0
     checked = 0
-    if args.format == "csv":
+    if csv:
         out.write("law,params,lhs,rhs,holds,rel_error\n")
     for law_id in law_ids:
+        t0 = time.perf_counter()
+        before = checked
         for params in qualifying_params(law_id, args.lo, args.hi):
             rep = check_law(law_id, **params)
             checked += 1
             if rep.holds is False:
                 violations += 1
-            if args.format == "csv":
+            if csv:
                 ptxt = ";".join(f"{k}={v}" for k, v in rep.params)
-                rel = "" if rep.rel_error is None else _num(rep.rel_error)
-                holds = "" if rep.holds is None else str(rep.holds).lower()
-                out.write(f"{rep.law_id},{ptxt},{_num(rep.lhs)},{_num(rep.rhs)},"
-                          f"{holds},{rel}\n")
+                out.write(f"{rep.law_id},{ptxt},{_num(rep.lhs, csv)},{_num(rep.rhs, csv)},"
+                          f"{_num(rep.holds, csv)},{_num(rep.rel_error, csv)}\n")
             else:
-                out.write(json.dumps(_report_doc(rep)) + "\n")
+                out.write(_report_line(rep))
+        _diag(json.dumps({"law": law_id, "reports": checked - before,
+                          "seconds": round(time.perf_counter() - t0, 6)}))
     _diag(f"laws: {checked} reports, {violations} violations")
     return EXIT_LAW_VIOLATION if violations else EXIT_OK
 

@@ -137,9 +137,12 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+# The shape checks run once per reported tuple, so each builds its error
+# text only when it raises.
 def _odd_prime(p, law: str):
     p = as_modulus(p)
-    _require(is_prime_oracle(p), f"{law}: {p} is not prime")
+    if not is_prime_oracle(p):
+        raise ValueError(f"{law}: {p} is not prime")
     return p
 
 
@@ -149,19 +152,22 @@ def _prime_shape(law, p):
 
 def _power_shape(law, p, k):
     p = _odd_prime(p, law)
-    _require(k >= 1, f"{law}: need k >= 1, got k={k}")
+    if not k >= 1:
+        raise ValueError(f"{law}: need k >= 1, got k={k}")
     return p, k
 
 
 def _semiprime_shape(law, p, q):
     p, q = _odd_prime(p, law), _odd_prime(q, law)
-    _require(p < q, f"{law}: need p < q, got p={p}, q={q}")
+    if not p < q:
+        raise ValueError(f"{law}: need p < q, got p={p}, q={q}")
     return p, q
 
 
 def _product_shape(law, p, q, m, k):
     p, q = _semiprime_shape(law, p, q)
-    _require(m >= 1 and k >= 1, f"{law}: need m, k >= 1, got m={m}, k={k}")
+    if not (m >= 1 and k >= 1):
+        raise ValueError(f"{law}: need m, k >= 1, got m={m}, k={k}")
     return p, q, m, k
 
 

@@ -60,6 +60,10 @@ class OddModulus(_OddModulusFields):
 
 def as_modulus(n) -> int:
     """Validate n (an int or OddModulus) and return it as a plain int."""
+    # The common case, a plain int already in range, builds no record; a
+    # bool, an int subclass or an __index__ object takes the checks below.
+    if type(n) is int and n & 1 and 3 <= n < MAX_MODULUS:
+        return n
     if isinstance(n, OddModulus):
         return n.n
     return OddModulus(operator.index(n)).n

@@ -1,11 +1,13 @@
 import gc
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from conftest import load_fixture
 from qrcensus import cli, kernel
-from qrcensus.laws import ThresholdMode, WorkerLost
+from qrcensus.laws import LAW_IDS, ThresholdMode, WorkerLost, check_law
 from qrcensus.cli import main
 from qrcensus.report import Ordering, TableFormat
 
@@ -211,6 +213,57 @@ class TestLawsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "law,params,lhs,rhs,holds,rel_error"
         assert lines[1] == "L7_SUMRB_7MOD8,p=7,3,3,true,"
+
+    # Every law to 3001: rational and integral Fraction sides, notes,
+    # rel_error and a None holds all occur.
+    ALL_TO_3001 = ("laws", "--law", "all", "--from", "3", "--to", "3001")
+
+    def test_stream_bytes_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ALL_TO_3001)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bf67a6c229f13feed7ef57110f80e68a590a039215a453b04360578a430d0714")
+        code, out, _ = run_cli(capsys, *self.ALL_TO_3001, "--format", "csv")
+        assert code == 0 and out.count("\n") == 3162
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0b5e85af2ad7a07aed99f6180aca6aecdd7412e48febdddb58ab1ea2c036e448")
+
+    def test_lines_match_the_reference_encoding(self, capsys):
+        # The writer's reference: a dict of each report, through json.dumps.
+        def num(value):
+            if isinstance(value, Fraction):
+                return int(value) if value.denominator == 1 else str(value)
+            return value
+
+        def reference(rep):
+            doc = {"law": rep.law_id, "params": dict(rep.params),
+                   "lhs": num(rep.lhs), "rhs": num(rep.rhs), "holds": rep.holds}
+            if rep.rel_error is not None:
+                doc["rel_error"] = num(rep.rel_error)
+            if rep.notes:
+                doc["notes"] = dict(rep.notes)
+            return json.dumps(doc)
+
+        _, out, _ = run_cli(capsys, *self.ALL_TO_3001)
+        lines = out.splitlines()
+        assert len(lines) == 3161
+        for line in lines:
+            doc = json.loads(line)
+            assert line == reference(check_law(doc["law"], **doc["params"]))
+
+    def test_per_law_timings_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "laws", "--law", "all", "--from", "3",
+                                 "--to", "301")
+        assert code == 0
+        *timings, summary = err.splitlines()
+        assert len(timings) == len(LAW_IDS) == 13
+        docs = [json.loads(line) for line in timings]
+        assert [d["law"] for d in docs] == list(LAW_IDS)
+        assert all(set(d) == {"law", "reports", "seconds"} for d in docs)
+        assert all(d["seconds"] >= 0 for d in docs)
+        laws = [json.loads(line)["law"] for line in out.splitlines()]
+        assert [d["reports"] for d in docs] == [laws.count(law) for law in LAW_IDS]
+        assert summary == f"laws: {len(laws)} reports, 0 violations"
 
 
     def test_range_above_census_ceiling_is_usage_error(self, capsys):

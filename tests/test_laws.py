@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -173,6 +174,18 @@ class TestLawCatalogue:
             check_law("L9", p=7, q=5, m=1, k=1)  # needs p < q
         with pytest.raises(ValueError):
             check_law("A3", p=7, q=7)
+
+    @pytest.mark.parametrize("law, params, text", [
+        ("L8", dict(p=9, k=2), "L8_PRIMEPOWER_BOUND: 9 is not prime"),
+        ("L8", dict(p=7, k=0), "L8_PRIMEPOWER_BOUND: need k >= 1, got k=0"),
+        ("L9", dict(p=7, q=5, m=1, k=1), "L9_PRODUCT_INEQ: need p < q, got p=7, q=5"),
+        ("L9", dict(p=3, q=7, m=0, k=1), "L9_PRODUCT_INEQ: need m, k >= 1, got m=0, k=1"),
+        ("L8", dict(p=5, k=2), "L8_PRIMEPOWER_BOUND: need p = 3 (mod 4) and k >= 2 "
+                               "(k >= 3 for p = 3), got p=5, k=2"),
+    ])
+    def test_error_texts(self, law, params, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            check_law(law, **params)
 
     def test_exact_laws_listed(self):
         assert set(EXACT_LAW_IDS) == {law for law in LAW_IDS if law.startswith("L")}

@@ -1,4 +1,6 @@
+import enum
 import random
+import re
 
 import pytest
 
@@ -38,6 +40,46 @@ class TestOddModulus:
         assert as_modulus(9) == 9
         with pytest.raises(ValueError):
             as_modulus(8)
+
+
+class TestAsModulus:
+    """as_modulus answers a plain int in range at once; every other input
+    keeps OddModulus's checks and texts."""
+
+    @pytest.mark.parametrize("n", [3, MAX_MODULUS - 1])
+    def test_plain_int_in_range(self, n):
+        got = as_modulus(n)
+        assert type(got) is int and got == n
+
+    @pytest.mark.parametrize("bad, text", [
+        (1, "modulus must be in [3, 2**62), got 1"),
+        (-3, "modulus must be in [3, 2**62), got -3"),
+        (8, "modulus must be odd, got 8"),
+        (MAX_MODULUS, f"modulus must be odd, got {MAX_MODULUS}"),
+        (MAX_MODULUS + 1, f"modulus must be in [3, 2**62), got {MAX_MODULUS + 1}"),
+        (True, "modulus must be in [3, 2**62), got 1"),
+        (False, "modulus must be odd, got 0"),
+    ])
+    def test_rejects_with_text(self, bad, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            as_modulus(bad)
+
+    @pytest.mark.parametrize("bad", [7.0, "7"])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            as_modulus(bad)
+
+    def test_integer_like_inputs_become_plain_ints(self):
+        class Seven(enum.IntEnum):
+            N = 7
+
+        class Index:
+            def __index__(self):
+                return 7
+
+        for n in (Seven.N, Index(), OddModulus(7)):
+            got = as_modulus(n)
+            assert type(got) is int and got == 7, n
 
 
 class TestMulMod:
