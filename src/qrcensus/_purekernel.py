@@ -1,13 +1,16 @@
 """Pure-Python census kernels, the fallback when the compiled module is absent.
 
-Same contract as the compiled backend (see kernel.py): the square walk and
-what it counts, nothing more; census.tallies adds the zero-square roots,
-which come from the factorization of n.  Every function derives from one
-walk, _mark(n), which has no branch beyond the reduction mod n.  Its table
-spends a byte per value of [0, n) where the compiled backend spends a bit:
-the walk then stores without bit arithmetic, and the counts and sums come
-from bytearray.count and itertools.compress instead of a Python loop.  residue_bitmap packs the bytes into the compiled
-backend's bit layout, so both return equal bytes.
+The compiled backend's functions, walk and bounds guard (see kernel.py):
+the square walk and what it counts, nothing more.  kernel.dense_modulus
+checks every modulus with the user-facing texts before it reaches a
+backend, and census.tallies adds the zero-square roots, which come from
+the factorization of n.  Every function derives from one walk, _mark(n),
+which has no branch beyond the reduction mod n.  Its table spends a byte
+per value of [0, n) where the compiled backend spends a bit: the walk
+then stores without bit arithmetic, and the counts and sums come from
+bytearray.count and itertools.compress instead of a Python loop.
+residue_bitmap packs the bytes into the compiled backend's bit layout, so
+both return equal bytes.
 """
 
 from itertools import compress
@@ -23,18 +26,10 @@ MAX_DENSE_MODULUS = 1 << 31
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _check_odd_range(lo, hi):
-    if hi >= MAX_DENSE_MODULUS:
-        raise ValueError(f"dense census supports n < 2**31, got {hi}")
-    if lo % 2 == 0 or hi % 2 == 0 or not 3 <= lo <= hi:
-        raise ValueError(f"need odd 3 <= lo <= hi, got [{lo}, {hi}]")
-
-
-def _check_modulus(n):
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"modulus must be odd and >= 3, got {n}")
-    if n >= MAX_DENSE_MODULUS:
-        raise ValueError(f"dense census supports n < 2**31, got {n}")
+def _guard(lo, hi):
+    """The memory guard before a table is allocated."""
+    if not (lo & hi & 1 and 3 <= lo <= hi < MAX_DENSE_MODULUS):
+        raise ValueError(f"need odd 3 <= lo <= hi with n < 2**31, got [{lo}, {hi}]")
 
 
 def _mark(n):
@@ -59,7 +54,7 @@ def _mark(n):
 
 def small_residue_counts(lo, hi):
     """r_b(n) for every odd n in [lo, hi], by the square walk."""
-    _check_odd_range(lo, hi)
+    _guard(lo, hi)
     return [_mark(n).count(1, 1, (n + 1) >> 1) for n in range(lo, hi + 1, 2)]
 
 
@@ -69,7 +64,7 @@ def census_tallies(n):
     Returns (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh,
     sum_nh).
     """
-    _check_modulus(n)
+    _guard(n, n)
     half = (n - 1) >> 1
     marked = _mark(n)
     r_b = marked.count(1, 0, half + 1)
@@ -88,7 +83,7 @@ def census_tallies(n):
 def residue_bitmap(n):
     """Bit-packed residue membership: bit y is set iff y in [1, n-1] is a
     nonzero quadratic residue of n."""
-    _check_modulus(n)
+    _guard(n, n)
     marked = _mark(n)
     # Byte y of the table becomes bit y of one integer, least significant
     # first; base-2 parsing is linear and has no digit limit.

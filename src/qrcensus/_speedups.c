@@ -1,12 +1,15 @@
 /* Compiled census kernels; kernel.py falls back to _purekernel without them.
 
-Same contract, error texts and walk as _purekernel: every function derives
-from mark(), which keeps x**2 mod n by adding 2x-1 and subtracting n at
-most once.  Where _purekernel spends a byte per value of [0, n), mark()
-sets one bit, in residue_bitmap's layout (bit y & 7 of byte y >> 3), so a
-table takes n/8 bytes.  With n < 2**31 every value and every census sum
-fits a signed 64-bit integer.  census_tallies returns the ten counts and
-sums of the walk; census.tallies adds the zero-square roots.
+The same functions, walk and bounds guard as _purekernel: every function
+derives from mark(), which keeps x**2 mod n by adding 2x-1 and subtracting
+n at most once.  Where _purekernel spends a byte per value of [0, n),
+mark() sets one bit, in residue_bitmap's layout (bit y & 7 of byte y >> 3),
+so a table takes n/8 bytes.  With n < 2**31 every value and every census
+sum fits a signed 64-bit integer.  census_tallies returns the ten counts
+and sums of the walk; census.tallies adds the zero-square roots.
+kernel.dense_modulus checks every modulus with the user-facing texts
+before it reaches a backend; each function here keeps only the guard
+before it allocates.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,46 +21,15 @@ sums of the walk; census.tallies adds the zero-square roots.
 
 typedef long long i64;
 
-/* An int argument: the Python object, for error texts, and its value,
-   saturated past the i64 range with its sign and parity kept, which is all
-   that the checks below read of a value out of that range. */
-typedef struct {
-    PyObject *obj;
-    i64 v;
-} arg;
-
+/* The memory guard before a table is allocated: odd 3 <= lo <= hi < 2**31. */
 static int
-to_arg(PyObject *obj, void *out)
+out_of_range(i64 lo, i64 hi)
 {
-    arg *a = out;
-    int overflow;
-    PyObject *index = PyNumber_Index(obj);
-    if (index == NULL)
+    if (lo % 2 && hi % 2 && 3 <= lo && lo <= hi && hi < MAX_DENSE_MODULUS)
         return 0;
-    a->v = PyLong_AsLongLongAndOverflow(index, &overflow);
-    if (overflow) {
-        i64 odd = PyLong_AsUnsignedLongLongMask(index) & 1;
-        a->v = overflow > 0 ? LLONG_MAX - 1 + odd : LLONG_MIN + odd;
-    }
-    Py_DECREF(index);
-    if (a->v == -1 && PyErr_Occurred())
-        return 0;
-    a->obj = obj;
+    PyErr_Format(PyExc_ValueError, "need odd 3 <= lo <= hi with n < 2**31, got [%lld, %lld]",
+                 lo, hi);
     return 1;
-}
-
-static int
-check_modulus(arg n)
-{
-    if (n.v % 2 == 0 || n.v < 3) {
-        PyErr_Format(PyExc_ValueError, "modulus must be odd and >= 3, got %S", n.obj);
-        return -1;
-    }
-    if (n.v >= MAX_DENSE_MODULUS) {
-        PyErr_Format(PyExc_ValueError, "dense census supports n < 2**31, got %S", n.obj);
-        return -1;
-    }
-    return 0;
 }
 
 /* Bytes of a bit table over [0, n). */
@@ -121,17 +93,12 @@ static PyObject *
 small_residue_counts(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"lo", "hi", NULL};
-    arg lo, hi;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&O&", names, to_arg, &lo, to_arg, &hi))
+    i64 lo, hi;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "LL", names, &lo, &hi) || out_of_range(lo, hi))
         return NULL;
-    if (hi.v >= MAX_DENSE_MODULUS)
-        return PyErr_Format(PyExc_ValueError, "dense census supports n < 2**31, got %S", hi.obj);
-    if (lo.v % 2 == 0 || hi.v % 2 == 0 || lo.v < 3 || lo.v > hi.v)
-        return PyErr_Format(PyExc_ValueError, "need odd 3 <= lo <= hi, got [%S, %S]",
-                            lo.obj, hi.obj);
-    unsigned char *table = new_table(hi.v);
+    unsigned char *table = new_table(hi);
     PyObject *out = table == NULL ? NULL : PyList_New(0);
-    for (i64 n = lo.v; out != NULL && n <= hi.v; n += 2) {
+    for (i64 n = lo; out != NULL && n <= hi; n += 2) {
         mark(table, n);
         PyObject *item = PyLong_FromLongLong(count_below(table, ((n - 1) >> 1) + 1));
         if (item == NULL || PyList_Append(out, item) < 0)
@@ -146,10 +113,10 @@ static PyObject *
 census_tallies(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"n", NULL};
-    arg a;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&", names, to_arg, &a) || check_modulus(a) < 0)
+    i64 n;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "L", names, &n) || out_of_range(n, n))
         return NULL;
-    i64 n = a.v, half = (n - 1) >> 1;
+    i64 half = (n - 1) >> 1;
     unsigned char *table = new_table(n);
     if (table == NULL)
         return NULL;
@@ -171,12 +138,12 @@ static PyObject *
 residue_bitmap(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"n", NULL};
-    arg a;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&", names, to_arg, &a) || check_modulus(a) < 0)
+    i64 n;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "L", names, &n) || out_of_range(n, n))
         return NULL;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)TABLE_BYTES(a.v));
+    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)TABLE_BYTES(n));
     if (out != NULL)
-        mark((unsigned char *)PyBytes_AS_STRING(out), a.v);
+        mark((unsigned char *)PyBytes_AS_STRING(out), n);
     return out;
 }
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
-from qrcensus.modmath import as_modulus, factorize
+from qrcensus.modmath import factorize
 
 
 class CensusTallies(NamedTuple):
@@ -67,7 +67,7 @@ def least_zero_root(factors) -> int:
 
 
 @lru_cache(maxsize=65536)
-def _incremental_tallies(n):
+def _tallies(n):
     m = least_zero_root(factorize(n))
     return CensusTallies(*kernel.census_tallies(n), tuple(range(m, (n + 1) >> 1, m)))
 
@@ -75,11 +75,12 @@ def _incremental_tallies(n):
 def tallies(n) -> CensusTallies:
     """Census counts and sums without materializing the residue set.
 
-    The kernel maintains x**2 mod n by adding 2x+1 and conditionally
+    The kernel maintains x**2 mod n by adding 2x-1 and conditionally
     subtracting n; the tests check it against the brute force in
-    tests/oracle.py, which squares outright.
+    tests/oracle.py, which squares outright.  The census gate checks n
+    before it is factored.
     """
-    return _incremental_tallies(as_modulus(n))
+    return _tallies(kernel.dense_modulus(n))
 
 
 def _iter_bits(bitmap):
@@ -95,13 +96,13 @@ def _iter_bits(bitmap):
 def quadratic_residue_set(n) -> frozenset:
     """All nonzero quadratic residues of n, i.e. {x**2 mod n} \\ {0} for
     x in [1, (n-1)/2] (x and n-x square to the same value)."""
-    return frozenset(_iter_bits(kernel.residue_bitmap(as_modulus(n))))
+    return frozenset(_iter_bits(kernel.residue_bitmap(n)))
 
 
 def census(n, want_details: bool = False) -> ResidueCensus:
     """The full census record of n; want_details adds (y, smallest_root)
     rows for every residue."""
-    n = as_modulus(n)
+    n = kernel.dense_modulus(n)
     t = tallies(n)
     return ResidueCensus(
         n=n,
@@ -121,21 +122,13 @@ def census(n, want_details: bool = False) -> ResidueCensus:
     )
 
 
-def _dense_modulus(n) -> int:
-    """as_modulus(n), also refusing n at or above the dense census ceiling."""
-    n = as_modulus(n)
-    if n >= kernel.MAX_DENSE_MODULUS:
-        raise ValueError(f"dense census supports n < 2**31, got {n}")
-    return n
-
-
 def small_squares(n) -> Iterator[tuple]:
     """(x, x**2 mod n) for every x in [1, (n-1)/2] whose square is nonzero.
 
     The one square walk behind residue_details, collision_pairs and
-    collision_classes.  It checks the dense census ceiling before it walks.
+    collision_classes.  The census gate checks n before it walks.
     """
-    n = _dense_modulus(n)
+    n = kernel.dense_modulus(n)
     return ((x, s) for x in range(1, (n - 1) // 2 + 1) if (s := x * x % n))
 
 
@@ -152,10 +145,10 @@ def smallest_sqrt(y: int, n) -> Optional[int]:
     """Least x >= 1 with x**2 = y mod n, or None when y is a non-residue.
 
     Roots come in mirror pairs x and n-x, so the least one always lies in
-    the small half.  The walk is up to (n-1)/2 steps, so n must stay below
-    the dense census ceiling like every other census.
+    the small half.  The walk is up to (n-1)/2 steps, so n passes the
+    census gate like every other census.
     """
-    n = _dense_modulus(n)
+    n = kernel.dense_modulus(n)
     if not 1 <= y <= n - 1:
         raise ValueError(f"y must be in [1, {n - 1}], got {y}")
     return next((x for x, s in small_squares(n) if s == y), None)

@@ -215,7 +215,6 @@ def _cmd_sweep(args, out):
         emit(n)
         out.flush()
 
-    t0 = time.perf_counter()
     outcome = sweep(
         args.lo,
         args.hi,
@@ -233,10 +232,9 @@ def _cmd_sweep(args, out):
             "scanned": outcome.scanned,
             "counterexamples": list(outcome.counterexamples),
         }) + "\n")
-    elapsed = time.perf_counter() - t0
     _diag(f"sweep [{outcome.lo}, {outcome.hi}] mode={outcome.mode.value} "
           f"backend={kernel.BACKEND} jobs={outcome.jobs}: scanned {outcome.scanned} "
-          f"moduli in {elapsed:.2f}s")
+          f"moduli in {outcome.elapsed:.2f}s")
     return EXIT_COUNTEREXAMPLE if outcome.counterexamples else EXIT_OK
 
 

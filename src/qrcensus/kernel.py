@@ -16,9 +16,14 @@ backend's own; one call walks each table once while it keeps it, and it
 keeps at most hi bits of tables.  It calls the backend through _impl,
 never through the names exported below: a profiler that wraps those names
 (as perfbench/tracer.py does) then sees one kernel call per range.
+
+dense_modulus is the census gate: every entry point that censuses or walks
+n passes n through it before it factors, builds a table or walks, so the
+ceiling and its error texts live here once.  The backends keep only a
+bounds guard before they allocate.
 """
 
-from qrcensus.modmath import factorize
+from qrcensus.modmath import as_modulus, factorize
 
 try:
     import qrcensus._speedups as _impl
@@ -31,8 +36,26 @@ except ImportError as exc:
 
 BACKEND = _impl.BACKEND
 MAX_DENSE_MODULUS = _impl.MAX_DENSE_MODULUS
-census_tallies = _impl.census_tallies
-residue_bitmap = _impl.residue_bitmap
+
+
+def dense_modulus(n) -> int:
+    """as_modulus(n), also refusing n at or above the dense census ceiling."""
+    n = as_modulus(n)
+    if n >= MAX_DENSE_MODULUS:
+        raise ValueError(f"dense census supports n < 2**31, got {n}")
+    return n
+
+
+def census_tallies(n):
+    """Counts and sums of the residue census of n: (r_b, n_b, r_h, n_h,
+    sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh)."""
+    return _impl.census_tallies(dense_modulus(n))
+
+
+def residue_bitmap(n):
+    """Bit-packed residue membership: bit y is set iff y in [1, n-1] is a
+    nonzero quadratic residue of n."""
+    return _impl.residue_bitmap(dense_modulus(n))
 
 
 def _squares(q):
@@ -45,33 +68,26 @@ def small_residue_counts(lo, hi):
     """r_b(n) for every odd n in [lo, hi]: the backend's walk for primes
     and proper prime powers, the CRT over prime-power tables otherwise.
 
-    The census ceiling is checked before any table is built, here as in
-    each backend's range function.  A prime-power table is built once
-    per call and kept while a later modulus of the range can still use
-    it: a factor q of n while n + 2q <= hi, a walked prime power n while
-    3n <= hi (its count then comes from its own table).  The kept tables
-    are bit-packed and hold at most hi bits together; a table that does
-    not fit serves its modulus and is dropped.
+    The census gate checks hi before any table is built.  A prime-power
+    table is built once per call and kept while a later modulus of the
+    range can still use it: a factor q of n while n + 2q <= hi (for a
+    walked prime power, q = n, that is 3n <= hi).  The kept tables are
+    bit-packed and hold at most hi bits together; a table that does not
+    fit serves its modulus and is dropped.  A walked prime power that
+    would not be kept is counted by the backend's walk alone.
     """
-    if hi >= MAX_DENSE_MODULUS:
-        raise ValueError(f"dense census supports n < 2**31, got {hi}")
-    if lo % 2 == 0 or hi % 2 == 0 or not 3 <= lo <= hi:
+    hi = dense_modulus(hi)
+    if lo % 2 == 0 or not 3 <= lo <= hi:
         raise ValueError(f"need odd 3 <= lo <= hi, got [{lo}, {hi}]")
     counts = []
     tables = {}  # q -> _squares(q)
     room = hi  # bits the kept tables may still take
     for n in range(lo, hi + 1, 2):
-        width = (n + 1) >> 1  # y in [0, (n-1)/2]
         factors = factorize(n)
-        if len(factors) == 1:
-            if 3 * n <= hi and n <= room:
-                table = _squares(n)
-                counts.append((table & ((1 << width) - 1)).bit_count() - 1)
-                tables[n] = table
-                room -= n
-            else:
-                counts.append(_impl.small_residue_counts(n, n)[0])
+        if len(factors) == 1 and (3 * n > hi or n > room):
+            counts.append(_impl.small_residue_counts(n, n)[0])
             continue
+        width = (n + 1) >> 1  # y in [0, (n-1)/2]
         both = (1 << width) - 1
         for p, e in factors.items():
             q = p**e
@@ -97,6 +113,7 @@ __all__ = [
     "BACKEND",
     "FALLBACK_REASON",
     "MAX_DENSE_MODULUS",
+    "dense_modulus",
     "small_residue_counts",
     "census_tallies",
     "residue_bitmap",

@@ -617,13 +617,9 @@ def sweep(
     rejects any checkpoint whose schema, mode or range does not match.
     """
     lo = as_modulus(lo)
-    hi = as_modulus(hi)
+    hi = kernel.dense_modulus(hi)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    if hi >= kernel.MAX_DENSE_MODULUS:
-        raise ValueError(
-            f"sweep supports hi < 2**31 (the dense census ceiling), got {hi}"
-        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1 or checkpoint_every < 1:

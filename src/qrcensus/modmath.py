@@ -4,7 +4,7 @@ Everything here works on plain Python integers, so no operation can
 overflow.  The modulus ceiling of 2**62 is the contract of these helpers
 alone, well inside the range the Miller-Rabin witnesses cover; anything
 that censuses a modulus has the lower ceiling kernel.MAX_DENSE_MODULUS
-= 2**31 and checks it itself.
+= 2**31, which kernel.dense_modulus checks.
 """
 
 import operator
@@ -29,8 +29,9 @@ class OddModulus(_OddModulusFields):
 
     2**62 is the ceiling of the arithmetic helpers.  Everything that
     censuses n (census, tallies, classify, residue_details,
-    collision_pairs, collision_classes, sweep, the laws) has the lower
-    ceiling kernel.MAX_DENSE_MODULUS = 2**31 and checks it itself.
+    collision_pairs, collision_classes, zero_square_roots, sweep, the
+    laws) has the lower ceiling kernel.MAX_DENSE_MODULUS = 2**31 and
+    passes n through kernel.dense_modulus before it factors or walks.
 
     Validation runs in __new__, so construction, _make, _replace and
     unpickling all reject a bad n.

@@ -9,6 +9,7 @@ factor's matching power, which is only possible when n is composite.
 from typing import NamedTuple
 
 from qrcensus.census import least_zero_root, small_squares
+from qrcensus.kernel import dense_modulus
 from qrcensus.modmath import as_modulus, factorize
 
 
@@ -84,8 +85,9 @@ def collision_classes(n) -> list:
 
 def zero_square_roots(n) -> frozenset:
     """All x in [1, n-1] with x**2 = 0 mod n: the multiples of
-    least_zero_root; squarefree n has none."""
-    n = as_modulus(n)
+    least_zero_root; squarefree n has none.  The census gate checks n
+    before it is factored."""
+    n = dense_modulus(n)
     m = least_zero_root(factorize(n))
     return frozenset(range(m, n, m))
 

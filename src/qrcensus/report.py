@@ -15,6 +15,7 @@ import json
 from typing import NamedTuple
 
 from qrcensus.census import quadratic_residue_set, residue_details
+from qrcensus.kernel import dense_modulus
 from qrcensus.modmath import as_modulus, is_prime_oracle
 from qrcensus.redundancy import collision_pairs, zero_square_roots
 
@@ -210,7 +211,7 @@ def render_annex2(lo: int = 3, hi: int = 51) -> str:
     listing (see ANNEX2_ROOT_OVERRIDES).
     """
     lo = as_modulus(lo)
-    hi = as_modulus(hi)
+    hi = dense_modulus(hi)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     lines = []
