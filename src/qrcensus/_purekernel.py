@@ -3,9 +3,9 @@
 The compiled backend's functions, walk and bounds guard (see kernel.py):
 the square walk and what it counts, nothing more.  kernel.dense_modulus
 checks every modulus with the user-facing texts before it reaches a
-backend, and census.tallies adds the zero-square roots, which come from
-the factorization of n.  Every function derives from one walk, _mark(n),
-which has no branch beyond the reduction mod n.  Its table spends a byte
+backend, and census.small_zero_roots gives the zero-square roots, which
+come from the factorization of n.  Every function derives from one walk,
+_mark(n), which has no branch beyond the reduction mod n.  Its table spends a byte
 per value of [0, n) where the compiled backend spends a bit: the walk
 then stores without bit arithmetic, and the counts and sums come from
 bytearray.count and itertools.compress instead of a Python loop.

@@ -6,7 +6,7 @@ n at most once.  Where _purekernel spends a byte per value of [0, n),
 mark() sets one bit, in residue_bitmap's layout (bit y & 7 of byte y >> 3),
 so a table takes n/8 bytes.  With n < 2**31 every value and every census
 sum fits a signed 64-bit integer.  census_tallies returns the ten counts
-and sums of the walk; census.tallies adds the zero-square roots.
+and sums of the walk; census.small_zero_roots gives the zero-square roots.
 kernel.dense_modulus checks every modulus with the user-facing texts
 before it reaches a backend; each function here keeps only the guard
 before it allocates.

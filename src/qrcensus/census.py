@@ -15,8 +15,7 @@ from qrcensus.modmath import factorize
 
 
 class CensusTallies(NamedTuple):
-    """The ten counts/sums of one census, which the kernel's walk gives, plus
-    the small zero-square roots, which come from least_zero_root."""
+    """The ten counts and sums of one census, as the kernel's walk gives them."""
 
     r_b: int
     n_b: int
@@ -28,7 +27,6 @@ class CensusTallies(NamedTuple):
     sum_nb: int
     sum_rh: int
     sum_nh: int
-    zero_square_roots: tuple
 
 
 class ResidueDetail(NamedTuple):
@@ -66,10 +64,16 @@ def least_zero_root(factors) -> int:
     return m
 
 
+def small_zero_roots(n) -> range:
+    """The x in [1, (n-1)/2] with x**2 = 0 mod n: the multiples of
+    least_zero_root below n/2.  n must have passed the census gate."""
+    m = least_zero_root(factorize(n))
+    return range(m, (n + 1) >> 1, m)
+
+
 @lru_cache(maxsize=65536)
 def _tallies(n):
-    m = least_zero_root(factorize(n))
-    return CensusTallies(*kernel.census_tallies(n), tuple(range(m, (n + 1) >> 1, m)))
+    return CensusTallies._make(kernel.census_tallies(n))
 
 
 def tallies(n) -> CensusTallies:
@@ -78,7 +82,7 @@ def tallies(n) -> CensusTallies:
     The kernel maintains x**2 mod n by adding 2x-1 and conditionally
     subtracting n; the tests check it against the brute force in
     tests/oracle.py, which squares outright.  The census gate checks n
-    before it is factored.
+    before it walks.
     """
     return _tallies(kernel.dense_modulus(n))
 
@@ -103,22 +107,9 @@ def census(n, want_details: bool = False) -> ResidueCensus:
     """The full census record of n; want_details adds (y, smallest_root)
     rows for every residue."""
     n = kernel.dense_modulus(n)
-    t = tallies(n)
     return ResidueCensus(
-        n=n,
-        residues=quadratic_residue_set(n),
-        r_b=t.r_b,
-        n_b=t.n_b,
-        r_h=t.r_h,
-        n_h=t.n_h,
-        sum_r=t.sum_r,
-        sum_n=t.sum_n,
-        sum_rb=t.sum_rb,
-        sum_nb=t.sum_nb,
-        sum_rh=t.sum_rh,
-        sum_nh=t.sum_nh,
-        zero_square_roots=frozenset(t.zero_square_roots),
-        details=residue_details(n) if want_details else None,
+        n, quadratic_residue_set(n), *tallies(n), frozenset(small_zero_roots(n)),
+        residue_details(n) if want_details else None,
     )
 
 

@@ -12,9 +12,10 @@ import functools
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from qrcensus import __version__, kernel
-from qrcensus.census import census
+from qrcensus.census import census, small_zero_roots, tallies
 
 # The handlers call these names as module globals because the benchmark's
 # tracer (perfbench/tracer.py) wraps them here.  Each module loads only
@@ -169,10 +170,15 @@ _parser = functools.cache(build_parser)
 
 
 def _cmd_census(args, out):
-    rec = census(args.n, want_details=args.details)
+    if args.details and args.format == "csv":
+        raise ValueError("--details is only available with --format json")
+    n = kernel.dense_modulus(args.n)
+    if args.details:
+        rec = census(n, want_details=True)
+    else:  # the record without its residue set, a Python object per residue
+        rec = SimpleNamespace(n=n, **tallies(n)._asdict(),
+                              zero_square_roots=small_zero_roots(n))
     if args.format == "csv":
-        if args.details:
-            raise ValueError("--details is only available with --format json")
         out.write(export_census([rec], ExportFormat.CSV))
         return EXIT_OK
     doc = census_row(rec)

@@ -126,10 +126,10 @@ def legendre_euler(a: int, p, *, validate: bool = False) -> int:
     )
 
 
-def is_prime_oracle(n: int, *, trial_cutoff: int = TRIAL_DIVISION_CUTOFF) -> bool:
+def is_prime_oracle(n: int) -> bool:
     """Exact primality for 1 <= n < 2**62.
 
-    Trial division below trial_cutoff, deterministic Miller-Rabin above.
+    Trial division below TRIAL_DIVISION_CUTOFF, deterministic Miller-Rabin above.
     """
     n = operator.index(n)
     if not 1 <= n < MAX_MODULUS:
@@ -138,7 +138,7 @@ def is_prime_oracle(n: int, *, trial_cutoff: int = TRIAL_DIVISION_CUTOFF) -> boo
         return n in (2, 3)
     if n % 2 == 0:
         return False
-    if n < trial_cutoff:
+    if n < TRIAL_DIVISION_CUTOFF:
         d = 3
         while d * d <= n:
             if n % d == 0:
@@ -182,9 +182,9 @@ def factorize(n: int) -> dict:
     """Prime factorization {p: e} by trial division.
 
     It runs once per modulus of a sweep (kernel.small_residue_counts) and
-    once per census (census.tallies): up to sqrt(n)/2 trial divisors,
-    against the n/2 steps of the square walk each of those makes or
-    replaces, and no table of its own.
+    once per census (census.small_zero_roots): up to sqrt(n)/2 trial
+    divisors, against the n/2 steps of the square walk each of those makes
+    or replaces, and no table of its own.
     """
     n = operator.index(n)
     if n < 1:

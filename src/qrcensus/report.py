@@ -14,7 +14,7 @@ import io
 import json
 from typing import NamedTuple
 
-from qrcensus.census import quadratic_residue_set, residue_details
+from qrcensus.census import CensusTallies, quadratic_residue_set, residue_details
 from qrcensus.kernel import dense_modulus
 from qrcensus.modmath import as_modulus, is_prime_oracle
 from qrcensus.redundancy import collision_pairs, zero_square_roots
@@ -36,10 +36,7 @@ ANNEX1_PAIRS_PER_LINE = 11
 #: HTML, and n = 4097 runs out of memory while building the grid.
 MAX_TABLE_MODULUS = 1 << 11
 
-CENSUS_FIELDS = (
-    "n", "r_b", "n_b", "r_h", "n_h",
-    "sum_r", "sum_n", "sum_rb", "sum_nb", "sum_rh", "sum_nh",
-)
+CENSUS_FIELDS = ("n",) + CensusTallies._fields
 
 
 class Ordering(enum.Enum):
@@ -177,11 +174,11 @@ def _html_table(labels, rows, marks, block, highlight):
     return "\n".join(lines) + "\n"
 
 
-def highlight_set(n, mode: HighlightMode, residues=None) -> frozenset:
+def highlight_set(n, mode: HighlightMode, residues) -> frozenset:
     """The values a table highlights under the given mode."""
     n = as_modulus(n)
     if mode is HighlightMode.RESIDUES:
-        return frozenset(residues) if residues is not None else quadratic_residue_set(n)
+        return frozenset(residues)
     if mode is HighlightMode.SMALL_VALUES:
         return frozenset(range(1, (n - 1) // 2 + 1))
     raise ValueError(f"unknown highlight mode {mode!r}")

@@ -62,7 +62,7 @@ def brute_kernel_census(n):
 
 def brute_zero_square_roots(n):
     """The x in [1, (n-1)/2] with x**2 = 0 mod n, ascending, as
-    census.tallies holds them."""
+    census.small_zero_roots gives them."""
     return tuple(x for x in range(1, (n - 1) // 2 + 1) if x * x % n == 0)
 
 

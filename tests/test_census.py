@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from oracle import brute_census, brute_smallest_root, brute_zero_square_roots
 from qrcensus import kernel
 from qrcensus.census import (
+    CensusTallies,
     census,
     n_h,
     quadratic_residue_set,
@@ -69,7 +71,24 @@ class TestCensusRecord:
         # prod p**ceil(e/2).  Prime powers and products of squares put many
         # of them in the small half; test_c09 covers every odd n <= 10001.
         for n in (3**12, 5**8, 7**6, 11**5, 3**4 * 5**3 * 7**2, 9 * 25 * 49 * 121):
-            assert tallies(n).zero_square_roots == brute_zero_square_roots(n), n
+            assert census(n).zero_square_roots == set(brute_zero_square_roots(n)), n
+
+    def test_tallies_are_the_kernel_counts_without_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"tallies factored {n}")
+
+        census_module = sys.modules["qrcensus.census"]
+        monkeypatch.setattr(census_module, "factorize", refuse)
+        monkeypatch.setattr(kernel, "factorize", refuse)
+        census_module._tallies.cache_clear()
+        assert CensusTallies._fields == (
+            "r_b", "n_b", "r_h", "n_h", "sum_r", "sum_n",
+            "sum_rb", "sum_nb", "sum_rh", "sum_nh",
+        )
+        for n in (3, 9, 175, 3**7, 1225, 2873, 3757, 9973, 3**4 * 5**3 * 7**2):
+            got = tallies(n)
+            assert type(got) is CensusTallies
+            assert tuple(got) == kernel.census_tallies(n), n
 
     def test_internal_consistency(self):
         rng = random.Random(5)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,9 +40,47 @@ class TestCensusCommand:
         row = lines[1].split(",")
         assert row[0] == "23" and row[7] == "33" and row[8] == "33"
 
-    def test_details_needs_json(self, capsys):
+    def test_details_needs_json(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census ran before the usage check")
+
+        monkeypatch.setattr(cli, "census", refuse)
         code, _, err = run_cli(capsys, "census", "9", "--details", "--format", "csv")
         assert code == 1 and "json" in err
+
+    def test_row_without_residue_set(self, capsys, monkeypatch):
+        # Without --details the row comes from the tallies alone, so a
+        # census near the 2**31 ceiling stays within the kernel's table.
+        def refuse(n):
+            raise AssertionError(f"built the residue set of {n}")
+
+        monkeypatch.setattr(sys.modules["qrcensus.census"], "quadratic_residue_set", refuse)
+        code, out, _ = run_cli(capsys, "census", "35")
+        assert code == 0 and out == (
+            '{"n": 35, "r_b": 7, "n_b": 10, "r_h": 4, "n_h": 13, "sum_r": 175, '
+            '"sum_n": 420, "sum_rb": 70, "sum_nb": 83, "sum_rh": 105, "sum_nh": 337, '
+            '"zero_square_roots": []}\n')
+        code, out, _ = run_cli(capsys, "census", "23", "--format", "csv")
+        assert code == 0 and out == (
+            "n,r_b,n_b,r_h,n_h,sum_r,sum_n,sum_rb,sum_nb,sum_rh,sum_nh\n"
+            "23,7,4,4,7,92,161,33,33,59,128\n")
+
+    # Moduli with square factors, so the zero-square roots are not empty.
+    SQUAREFUL = (9, 175, 3**7, 1225, 2873, 3757, 9973)
+
+    @pytest.mark.parametrize("extra, digest", [
+        ((), "0acd3ae843d5cc160a727cdb3c5d1ce4d962f4d887560f5254c778abf53c88e2"),
+        (("--format", "csv"),
+         "2ba8825d173ac5e181f6c88e89e8ea137bfb6a45d2162dfb27ba6ef88f353d25"),
+        (("--details",), "40330e3e7e8ce9488152e7991b9246d7c0a15c5eeebefe9a9eb14c805f27071e"),
+    ], ids=["json", "csv", "details"])
+    def test_stream_bytes_pinned(self, capsys, extra, digest):
+        text = ""
+        for n in self.SQUAREFUL:
+            code, out, _ = run_cli(capsys, "census", str(n), *extra)
+            assert code == 0
+            text += out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_even_modulus_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "census", "8")

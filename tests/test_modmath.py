@@ -7,6 +7,7 @@ import pytest
 from oracle import brute_is_prime, brute_residues
 from qrcensus.modmath import (
     MAX_MODULUS,
+    TRIAL_DIVISION_CUTOFF,
     OddModulus,
     as_modulus,
     factorize,
@@ -198,12 +199,13 @@ class TestIsPrimeOracle:
         for n in range(1, 10_001):
             assert is_prime_oracle(n) == brute_is_prime(n)
 
-    def test_miller_rabin_path_matches_trial_path(self):
-        # force both code paths over one range and compare
-        for n in range(3, 4001, 2):
-            assert is_prime_oracle(n, trial_cutoff=0) == is_prime_oracle(
-                n, trial_cutoff=1 << 20
-            )
+    def test_miller_rabin_path_matches_the_sieve(self):
+        # every n here is above TRIAL_DIVISION_CUTOFF, so the sieve is an
+        # independent reference for the Miller-Rabin path
+        assert 65537 > TRIAL_DIVISION_CUTOFF
+        primes = set(sieve_primes(105537))
+        for n in range(65537, 105538, 2):
+            assert is_prime_oracle(n) == (n in primes), n
 
     def test_known_strong_pseudoprimes_rejected(self):
         # strong pseudoprimes to base 2 must not fool the witness set
