@@ -1,7 +1,9 @@
 """Pure-Python census kernels, the fallback when the compiled module is absent.
 
 The compiled backend's functions, walk and bounds guard (see kernel.py):
-the square walk and what it counts, nothing more.  kernel.dense_modulus
+the square walk and what it counts, nothing more.  census_tallies returns
+the four values the walk gives, (r_b, r_h, sum_rb, sum_rh), and
+kernel.census_tallies derives the other six from n.  kernel.dense_modulus
 checks every modulus with the user-facing texts before it reaches a
 backend, and census.small_zero_roots gives the zero-square roots, which
 come from the factorization of n.  Every function derives from one walk,
@@ -59,25 +61,14 @@ def small_residue_counts(lo, hi):
 
 
 def census_tallies(n):
-    """Counts and sums of the residue census of n.
-
-    Returns (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh,
-    sum_nh).
-    """
+    """The walk's residue counts and sums of each half of [1, n-1]:
+    (r_b, r_h, sum_rb, sum_rh)."""
     _guard(n, n)
-    half = (n - 1) >> 1
     marked = _mark(n)
-    r_b = marked.count(1, 0, half + 1)
-    r_h = marked.count(1, half + 1, n)
-    sum_rb = sum(compress(range(half + 1), marked))
-    sum_r = sum(compress(range(n), marked))
-    n_b = half - r_b
-    n_h = (n - 1 - half) - r_h
-    sum_rh = sum_r - sum_rb
-    sum_n = n * (n - 1) // 2 - sum_r
-    sum_nb = half * (half + 1) // 2 - sum_rb
-    sum_nh = sum_n - sum_nb
-    return (r_b, n_b, r_h, n_h, sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh)
+    cut = (n + 1) >> 1  # the first value of the large half
+    small, large = marked[:cut], marked[cut:]
+    return (small.count(1), large.count(1),
+            sum(compress(range(cut), small)), sum(compress(range(cut, n), large)))
 
 
 def residue_bitmap(n):

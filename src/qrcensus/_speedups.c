@@ -5,11 +5,12 @@ derives from mark(), which keeps x**2 mod n by adding 2x-1 and subtracting
 n at most once.  Where _purekernel spends a byte per value of [0, n),
 mark() sets one bit, in residue_bitmap's layout (bit y & 7 of byte y >> 3),
 so a table takes n/8 bytes.  With n < 2**31 every value and every census
-sum fits a signed 64-bit integer.  census_tallies returns the ten counts
-and sums of the walk; census.small_zero_roots gives the zero-square roots.
-kernel.dense_modulus checks every modulus with the user-facing texts
-before it reaches a backend; each function here keeps only the guard
-before it allocates.
+sum fits a signed 64-bit integer.  census_tallies returns the four values
+the walk gives, (r_b, r_h, sum_rb, sum_rh); kernel.census_tallies derives
+the other six from n, and census.small_zero_roots gives the zero-square
+roots.  kernel.dense_modulus checks every modulus with the user-facing
+texts before it reaches a backend; each function here keeps only the
+guard before it allocates.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -128,10 +129,7 @@ census_tallies(PyObject *self, PyObject *args, PyObject *kwargs)
     for (i64 y = half + 1; y < n; y++)
         sum_rh += y * bit(table, y);
     PyMem_Free(table);
-    i64 sum_r = sum_rb + sum_rh, sum_n = n * (n - 1) / 2 - sum_r;
-    i64 sum_nb = half * (half + 1) / 2 - sum_rb;
-    return Py_BuildValue("(LLLLLLLLLL)", r_b, half - r_b, r_h, (n - 1 - half) - r_h,
-                         sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_n - sum_nb);
+    return Py_BuildValue("(LLLL)", r_b, r_h, sum_rb, sum_rh);
 }
 
 static PyObject *
@@ -155,8 +153,8 @@ static PyMethodDef methods[] = {
     {"census_tallies", (PyCFunction)(void (*)(void))census_tallies,
      METH_VARARGS | METH_KEYWORDS,
      "census_tallies(n)\n--\n\n"
-     "Counts and sums of the residue census of n: (r_b, n_b, r_h, n_h, sum_r,\n"
-     "sum_n, sum_rb, sum_nb, sum_rh, sum_nh)."},
+     "The walk's residue counts and sums of each half of [1, n-1]:\n"
+     "(r_b, r_h, sum_rb, sum_rh)."},
     {"residue_bitmap", (PyCFunction)(void (*)(void))residue_bitmap,
      METH_VARARGS | METH_KEYWORDS,
      "residue_bitmap(n)\n--\n\n"

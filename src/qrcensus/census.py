@@ -8,6 +8,7 @@ as residues, yet the small ys they occupy still count as non-residues.
 """
 
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, NamedTuple, Optional
 
 from qrcensus import kernel
@@ -87,30 +88,27 @@ def tallies(n) -> CensusTallies:
     return _tallies(kernel.dense_modulus(n))
 
 
-def _iter_bits(bitmap):
-    for i, byte in enumerate(bitmap):
-        if byte:
-            base = i << 3
-            while byte:
-                low = byte & -byte
-                yield base + low.bit_length() - 1
-                byte ^= low
+# Maps bin()'s digits to the 0/1 flags that itertools.compress reads.  Read
+# backwards, digit y is bit y of residue_bitmap: the inverse of the packing
+# in _purekernel.residue_bitmap.
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def quadratic_residue_set(n) -> frozenset:
     """All nonzero quadratic residues of n, i.e. {x**2 mod n} \\ {0} for
     x in [1, (n-1)/2] (x and n-x square to the same value)."""
-    return frozenset(_iter_bits(kernel.residue_bitmap(n)))
+    bits = bin(int.from_bytes(kernel.residue_bitmap(n), "little"))[:1:-1]
+    return frozenset(compress(range(n), bits.encode().translate(_FLAGS)))
 
 
 def census(n, want_details: bool = False) -> ResidueCensus:
     """The full census record of n; want_details adds (y, smallest_root)
-    rows for every residue."""
+    rows for every residue, and the residue set then comes from those rows
+    instead of a second walk."""
     n = kernel.dense_modulus(n)
-    return ResidueCensus(
-        n, quadratic_residue_set(n), *tallies(n), frozenset(small_zero_roots(n)),
-        residue_details(n) if want_details else None,
-    )
+    details = residue_details(n) if want_details else None
+    residues = frozenset(d.y for d in details) if want_details else quadratic_residue_set(n)
+    return ResidueCensus(n, residues, *tallies(n), frozenset(small_zero_roots(n)), details)
 
 
 def small_squares(n) -> Iterator[tuple]:

@@ -63,10 +63,11 @@ EXIT_COUNTEREXAMPLE = 3
 EXIT_LAW_VIOLATION = 4
 
 # The parser's choices, as literals so that it needs neither laws nor
-# report: the values of ThresholdMode, Ordering and TableFormat.
+# report: the values of ThresholdMode, Ordering, TableFormat and HighlightMode.
 _MODE_CHOICES = ("corrected", "floor", "strict")
 _ORDER_CHOICES = ("natural", "residues-first")
 _TABLE_FORMAT_CHOICES = ("ansi", "plain", "csv", "html")
+_HIGHLIGHT_CHOICES = ("residues", "small", "none")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="modular multiplication table")
     p.add_argument("n", type=int)
     p.add_argument("--order", choices=_ORDER_CHOICES, default="natural")
-    p.add_argument("--highlight", choices=["residues", "small", "none"],
+    p.add_argument("--highlight", choices=_HIGHLIGHT_CHOICES,
                    default="residues",
                    help="mark residues (default), mark values <= (n-1)/2, or no marks")
     add_common(p, _TABLE_FORMAT_CHOICES, "plain")
@@ -290,9 +291,7 @@ def _cmd_table(args, out):
         n=args.n,
         ordering=Ordering(args.order),
         fmt=TableFormat(args.format),
-        highlight=args.highlight != "none",
-        highlight_mode=(HighlightMode.SMALL_VALUES if args.highlight == "small"
-                        else HighlightMode.RESIDUES),
+        highlight_mode=HighlightMode(args.highlight),
     )
     out.write(render_mult_table(spec))
     return EXIT_OK

@@ -20,7 +20,9 @@ never through the names exported below: a profiler that wraps those names
 dense_modulus is the census gate: every entry point that censuses or walks
 n passes n through it before it factors, builds a table or walks, so the
 ceiling and its error texts live here once.  The backends keep only a
-bounds guard before they allocate.
+bounds guard before they allocate.  A backend's census_tallies returns the
+four values its walk gives, (r_b, r_h, sum_rb, sum_rh); census_tallies
+here derives the other six from n.
 """
 
 from qrcensus.modmath import as_modulus, factorize
@@ -48,8 +50,16 @@ def dense_modulus(n) -> int:
 
 def census_tallies(n):
     """Counts and sums of the residue census of n: (r_b, n_b, r_h, n_h,
-    sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh)."""
-    return _impl.census_tallies(dense_modulus(n))
+    sum_r, sum_n, sum_rb, sum_nb, sum_rh, sum_nh).  The backend's walk gives
+    r_b, r_h, sum_rb and sum_rh; each half of [1, n-1] holds (n-1)/2
+    values, and its non-residues and their sum are the rest of it."""
+    n = dense_modulus(n)
+    r_b, r_h, sum_rb, sum_rh = _impl.census_tallies(n)
+    half = n >> 1
+    sum_nb = half * (half + 1) // 2 - sum_rb  # 1 + ... + half
+    sum_nh = half * (3 * half + 1) // 2 - sum_rh  # (half + 1) + ... + 2 half
+    return (r_b, half - r_b, r_h, half - r_h, sum_rb + sum_rh, sum_nb + sum_nh,
+            sum_rb, sum_nb, sum_rh, sum_nh)
 
 
 def residue_bitmap(n):

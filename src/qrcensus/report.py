@@ -4,8 +4,8 @@ listings, and census export/import.
 Tables label rows and columns with 1..n-1 either in natural order or with
 residues first (residues ascending, then non-residues ascending; prime
 moduli only, since only a field splits cleanly into the four quadrants).
-Cell (a, b) holds a*b mod n; highlighting marks residues by default, or
-the small half of the range (see HighlightMode).
+Cell (a, b) holds a*b mod n; highlighting marks residues by default, the
+small half of the range, or nothing (see HighlightMode).
 """
 
 import csv
@@ -58,11 +58,13 @@ class HighlightMode(enum.Enum):
     the archived mod-7 grids).  SMALL_VALUES marks values <= (n-1)/2, the
     scheme of the archived mod-23 grid: there the top-left quadrant of a
     residues-first table shows r_b marks per row against n_b in the
-    top-right, making the small-residue surplus visible.
+    top-right, making the small-residue surplus visible.  NONE marks
+    nothing.
     """
 
     RESIDUES = "residues"
     SMALL_VALUES = "small"
+    NONE = "none"
 
 
 class ExportFormat(enum.Enum):
@@ -74,7 +76,6 @@ class TableSpec(NamedTuple):
     n: int
     ordering: Ordering = Ordering.NATURAL
     fmt: TableFormat = TableFormat.PLAIN
-    highlight: bool = True
     highlight_mode: HighlightMode = HighlightMode.RESIDUES
 
 
@@ -105,11 +106,11 @@ def mult_table_grid(n, ordering: Ordering):
     return labels, rows, residues, block
 
 
-def _text_table(labels, rows, marks, block, highlight, ansi):
+def _text_table(labels, rows, marks, block, ansi):
     w = len(str(max(labels)))
 
     def cell(v):
-        if highlight and v in marks:
+        if v in marks:
             if ansi:
                 return f"{ANSI_HIGHLIGHT}{v:>{w}}{ANSI_RESET} "
             return f"{v:>{w}}{PLAIN_MARK}"
@@ -142,10 +143,10 @@ def _csv_table(labels, rows):
     return buf.getvalue()
 
 
-def _html_table(labels, rows, marks, block, highlight):
+def _html_table(labels, rows, marks, block):
     def cell(name, v, col):
         classes = []
-        if name == "td" and highlight and v in marks:
+        if name == "td" and v in marks:
             classes.append(HTML_HIGHLIGHT_CLASS)
         if col == block:  # first column after the leading quadrant
             classes.append("q")
@@ -181,6 +182,8 @@ def highlight_set(n, mode: HighlightMode, residues) -> frozenset:
         return frozenset(residues)
     if mode is HighlightMode.SMALL_VALUES:
         return frozenset(range(1, (n - 1) // 2 + 1))
+    if mode is HighlightMode.NONE:
+        return frozenset()
     raise ValueError(f"unknown highlight mode {mode!r}")
 
 
@@ -189,13 +192,13 @@ def render_mult_table(spec: TableSpec) -> str:
     labels, rows, residues, block = mult_table_grid(spec.n, spec.ordering)
     marks = highlight_set(spec.n, spec.highlight_mode, residues)
     if spec.fmt is TableFormat.PLAIN:
-        return _text_table(labels, rows, marks, block, spec.highlight, ansi=False)
+        return _text_table(labels, rows, marks, block, ansi=False)
     if spec.fmt is TableFormat.ANSI:
-        return _text_table(labels, rows, marks, block, spec.highlight, ansi=True)
+        return _text_table(labels, rows, marks, block, ansi=True)
     if spec.fmt is TableFormat.CSV:
         return _csv_table(labels, rows)
     if spec.fmt is TableFormat.HTML:
-        return _html_table(labels, rows, marks, block, spec.highlight)
+        return _html_table(labels, rows, marks, block)
     raise ValueError(f"unknown table format {spec.fmt!r}")
 
 

@@ -47,8 +47,10 @@ def brute_census(n):
 
 
 def brute_kernel_census(n):
-    """brute_census(n) in the kernel's formats: the census_tallies tuple of
-    ten counts and sums, and the residue_bitmap bytes."""
+    """brute_census(n) in the kernel's formats: kernel.census_tallies'
+    tuple of ten counts and sums, and the residue_bitmap bytes.  A
+    backend's census_tallies returns only the walk's four of the ten; see
+    walk_values."""
     c = brute_census(n)
     tallies = tuple(c[k] for k in (
         "r_b", "n_b", "r_h", "n_h", "sum_r", "sum_n", "sum_rb", "sum_nb",
@@ -58,6 +60,12 @@ def brute_kernel_census(n):
     for y in c["residues"]:
         bitmap[y >> 3] |= 1 << (y & 7)
     return tallies, bytes(bitmap)
+
+
+def walk_values(tallies):
+    """(r_b, r_h, sum_rb, sum_rh) of a ten-value census_tallies tuple: what
+    a backend's census_tallies returns."""
+    return tallies[0], tallies[2], tallies[6], tallies[8]
 
 
 def brute_zero_square_roots(n):

@@ -32,6 +32,15 @@ class TestResidueSet:
         for n in range(3, 502, 2):
             assert quadratic_residue_set(n) == brute_census(n)["residues"], n
 
+    def test_last_table_byte_without_residues(self):
+        # The residue table's last byte is zero here, so its bits stop
+        # short of n: the largest residues are 7 mod 9, 30 mod 35, 85 mod 95
+        # and 100 mod 105.
+        for n, top in ((9, 7), (35, 30), (95, 85), (105, 100)):
+            assert kernel.residue_bitmap(n)[-1] == 0, n
+            assert quadratic_residue_set(n) == brute_census(n)["residues"], n
+            assert max(quadratic_residue_set(n)) == top, n
+
     def test_half_range_is_enough(self):
         # x and n-x share a square, so [1, (n-1)/2] already covers everything
         for n in range(3, 302, 2):
@@ -108,6 +117,25 @@ class TestCensusRecord:
             (1, 1), (3, 5), (4, 2), (5, 4), (9, 3)
         ]
         assert census(11).details is None
+
+    def test_detailed_census_walks_n_once(self, monkeypatch):
+        # The residue set comes from the details' walk, not from a second
+        # walk through the kernel's table.
+        moduli = (9, 35, 175, 2187, 9973)
+        plain = {n: census(n) for n in moduli}
+
+        def refuse(n):
+            raise AssertionError(f"walked {n} again for its residue set")
+
+        monkeypatch.setattr(kernel, "residue_bitmap", refuse)
+        for n in moduli:
+            c = census(n, want_details=True)
+            assert c.residues == brute_census(n)["residues"], n
+            assert c._replace(details=None) == plain[n], n
+            least = {}
+            for x in range(n - 1, 0, -1):
+                least[x * x % n] = x
+            assert c.details == tuple((y, least[y]) for y in sorted(c.residues)), n
 
 
 class TestPrimeSymmetries:

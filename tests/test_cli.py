@@ -10,7 +10,7 @@ from conftest import load_fixture
 from qrcensus import cli, kernel
 from qrcensus.laws import LAW_IDS, ThresholdMode, WorkerLost, check_law
 from qrcensus.cli import main
-from qrcensus.report import Ordering, TableFormat
+from qrcensus.report import HighlightMode, Ordering, TableFormat
 
 
 def run_cli(capsys, *argv):
@@ -347,6 +347,26 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", "7", "--highlight", "none")
         assert "*" not in out
 
+    @pytest.mark.parametrize("n, digest", [
+        (7, "8b9adb82e3d05a00fb3532eedbadf0651b78ae271714397d1ab4a4eacfad41c5"),
+        (23, "ee8bf11d9b60eea48bfbc98d623e97bb5423441c987fc42294df27d48b6876da"),
+        (45, "b8524cd37139273c91985ea98f3f50917d5a7e1587c0d0e389b13708db7b66f1"),
+        (401, "de66ea06270a4fb1d1eb76f439e6f0896bbffc88bab1519d0395806f5630428d"),
+    ])
+    def test_stream_bytes_pinned(self, capsys, n, digest):
+        # Every format and highlight, natural order, and residues first for
+        # a prime modulus: one digest over the streams in that order.
+        orders = ("natural", "residues-first") if n != 45 else ("natural",)
+        text = ""
+        for fmt in ("plain", "ansi", "csv", "html"):
+            for highlight in ("residues", "small", "none"):
+                for order in orders:
+                    code, out, _ = run_cli(capsys, "table", str(n), "--format", fmt,
+                                           "--highlight", highlight, "--order", order)
+                    assert code == 0
+                    text += out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_modulus_above_table_ceiling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "table", "2049", "--format", "html")
         assert code == 1 and out == ""
@@ -422,6 +442,7 @@ class TestPlumbing:
         (cli._MODE_CHOICES, ThresholdMode),
         (cli._ORDER_CHOICES, Ordering),
         (cli._TABLE_FORMAT_CHOICES, TableFormat),
+        (cli._HIGHLIGHT_CHOICES, HighlightMode),
     ])
     def test_parser_choices_are_the_enum_values(self, choices, enum):
         assert sorted(choices) == sorted(m.value for m in enum)

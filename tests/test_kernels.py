@@ -15,7 +15,7 @@ import types
 
 import pytest
 
-from oracle import brute_census, brute_kernel_census
+from oracle import brute_census, brute_kernel_census, walk_values
 from qrcensus import _purekernel, kernel
 from qrcensus.laws import _chunk_ranges
 from qrcensus.modmath import factorize
@@ -38,12 +38,16 @@ def test_counts_match_brute_force(backend):
         assert r_b == brute_census(n)["r_b"], n
 
 
-def test_tallies_match_brute_force(backend):
+def test_tallies_match_brute_force(backend, monkeypatch):
     # The prime powers and products of squares walk through many squares
-    # that are 0 mod n, which the walk stores and then clears.
+    # that are 0 mod n, which the walk stores and then clears.  The backend
+    # returns the walk's four values; kernel.census_tallies derives all ten.
+    monkeypatch.setattr(kernel, "_impl", backend)
     for n in list(range(3, 502, 2)) + [3757, 3**12, 5**8, 7**6, 11**5,
                                        3**4 * 5**3 * 7**2, 9 * 25 * 49 * 121]:
-        assert backend.census_tallies(n) == brute_kernel_census(n)[0], n
+        want = brute_kernel_census(n)[0]
+        assert backend.census_tallies(n) == walk_values(want), n
+        assert kernel.census_tallies(n) == want, n
 
 
 def test_bitmap_matches_brute_force(backend):
@@ -148,13 +152,14 @@ _ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Run in the built copy: the compiled module against the brute force.
 _BUILT_MATCHES_ORACLE = """
-from oracle import brute_kernel_census
+from oracle import brute_kernel_census, walk_values
 from qrcensus import _speedups, kernel
 assert kernel.BACKEND == "compiled", kernel.FALLBACK_REASON
 want = [brute_kernel_census(n) for n in range(3, 502, 2)]
 assert _speedups.small_residue_counts(3, 501) == [t[0] for t, _ in want]
 for n, (tallies, bitmap) in zip(range(3, 502, 2), want):
-    assert _speedups.census_tallies(n) == tallies, n
+    assert _speedups.census_tallies(n) == walk_values(tallies), n
+    assert kernel.census_tallies(n) == tallies, n
     assert _speedups.residue_bitmap(n) == bitmap, n
 """
 

@@ -121,7 +121,7 @@ class TestRenderedFormats:
         assert doc.count("*") == 18  # (p-1)/2 per row
 
     def test_plain_no_highlight(self):
-        doc = render_mult_table(TableSpec(7, highlight=False))
+        doc = render_mult_table(TableSpec(7, highlight_mode=HighlightMode.NONE))
         assert "*" not in doc
 
     def test_ansi_uses_background_color(self):
