@@ -34,7 +34,7 @@ from qrcensus.modmath import (
 _LAZY = (
     dict.fromkeys((
         "Classification", "CheckpointError", "LAW_IDS", "LawReport", "SweepOutcome",
-        "ThresholdMode", "check_law", "classify", "predicted_prime",
+        "ThresholdMode", "WorkerLost", "check_law", "classify", "predicted_prime",
         "qualifying_params", "rb_prime_power_predicted", "sweep",
     ), "qrcensus.laws")
     | dict.fromkeys((
@@ -80,6 +80,7 @@ __all__ = [
     "TableSpec",
     "ThresholdMode",
     "WitnessCheck",
+    "WorkerLost",
     "census",
     "check_law",
     "classify",

@@ -1,10 +1,10 @@
 """Command line surface.
 
-Exit codes: 0 success (and agreement), 1 usage error, 2 I/O or checkpoint
-error, an interrupt or a lost pool worker, 3 counterexample found
-(classify / sweep), 4 exact-law violation (laws).  Data goes to --output
-(default stdout) as JSON lines or CSV; timing and progress go to stderr so
-the data stream stays parseable.
+Exit codes: 0 success (and agreement), 1 usage error or out of memory,
+2 I/O or checkpoint error, an interrupt or a lost pool worker,
+3 counterexample found (classify / sweep), 4 exact-law violation (laws).
+Data goes to --output (default stdout) as JSON lines or CSV; timing and
+progress go to stderr so the data stream stays parseable.
 """
 
 import argparse
@@ -14,28 +14,19 @@ import sys
 import time
 from types import SimpleNamespace
 
-from qrcensus import __version__, kernel
+from qrcensus import _LAZY as _PUBLIC, __version__, kernel
 from qrcensus.census import census, small_zero_roots, tallies
 
 # The handlers call these names as module globals because the benchmark's
 # tracer (perfbench/tracer.py) wraps them here.  Each module loads only
 # when a command runs it: main() binds the names of its command's modules
-# first, and __getattr__ binds them for callers from outside.
-_LAZY = (
-    dict.fromkeys(("Fraction",), "fractions")
-    | dict.fromkeys((
-        "CheckpointError", "LAW_IDS", "ThresholdMode", "WorkerLost", "check_law",
-        "classify", "qualifying_params", "resolve_law_id", "sweep",
-    ), "qrcensus.laws")
-    | dict.fromkeys((
-        "collision_classes", "collision_pairs", "witness", "zero_square_roots",
-    ), "qrcensus.redundancy")
-    | dict.fromkeys((
-        "ExportFormat", "HighlightMode", "Ordering", "TableFormat", "TableSpec",
-        "census_row", "export_census", "render_annex1", "render_annex2",
-        "render_mult_table",
-    ), "qrcensus.report")
-)
+# first, and __getattr__ binds them for callers from outside.  The homes
+# are the package's own, plus those of the names it does not export.
+_LAZY = _PUBLIC | {
+    "Fraction": "fractions",
+    "resolve_law_id": "qrcensus.laws",
+    "census_row": "qrcensus.report",
+}
 
 
 def _bind(module_name):
@@ -185,7 +176,7 @@ def _cmd_census(args, out):
     doc = census_row(rec)
     doc["zero_square_roots"] = sorted(rec.zero_square_roots)
     if args.details:
-        doc["residues"] = sorted(rec.residues)
+        doc["residues"] = [d.y for d in rec.details]
         doc["details"] = [[d.y, d.smallest_root] for d in rec.details]
     out.write(json.dumps(doc) + "\n")
     return EXIT_OK
@@ -384,6 +375,9 @@ def main(argv=None) -> int:
         return handler(args, out)
     except ValueError as exc:
         _diag(f"qrcensus {args.command}: error: {exc}")
+        return EXIT_USAGE
+    except MemoryError:
+        _diag(f"qrcensus {args.command}: error: out of memory")
         return EXIT_USAGE
     # An except clause's class is looked up whenever an exception reaches
     # it, and a command that runs no laws code has no laws names bound.

@@ -132,11 +132,6 @@ def classify(n, mode: ThresholdMode = ThresholdMode.CORRECTED) -> Classification
 # shape and condition, so the two cannot drift.
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
-
-
 # The shape checks run once per reported tuple, so each builds its error
 # text only when it raises.
 def _odd_prime(p, law: str):
@@ -434,11 +429,10 @@ def rb_prime_power_predicted(p: int, m: int) -> int:
     the A1/A2 approximations.
     """
     p = as_modulus(p)
-    _require(
-        is_prime_oracle(p) and (p == 3 or p % 4 == 1),
-        f"recurrence needs a prime p = 1 (mod 4) or p = 3, got {p}",
-    )
-    _require(m >= 0, f"exponent must be >= 0, got {m}")
+    if not (is_prime_oracle(p) and (p == 3 or p % 4 == 1)):
+        raise ValueError(f"recurrence needs a prime p = 1 (mod 4) or p = 3, got {p}")
+    if m < 0:
+        raise ValueError(f"exponent must be >= 0, got {m}")
     if m == 0:
         return 0
     prev2, prev1 = 0, (p + 2) // 4  # ceil((p-1)/4)

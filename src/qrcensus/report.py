@@ -15,7 +15,6 @@ import json
 from typing import NamedTuple
 
 from qrcensus.census import CensusTallies, quadratic_residue_set, residue_details
-from qrcensus.kernel import dense_modulus
 from qrcensus.modmath import as_modulus, is_prime_oracle
 from qrcensus.redundancy import collision_pairs, zero_square_roots
 
@@ -202,20 +201,16 @@ def render_mult_table(spec: TableSpec) -> str:
     raise ValueError(f"unknown table format {spec.fmt!r}")
 
 
-def render_annex2(lo: int = 3, hi: int = 51) -> str:
-    """The small-residue listing: one line per odd n in [lo, hi] with the
+def render_annex2() -> str:
+    """The small-residue listing: one line per odd n from 3 to 51 with the
     small residues ascending, each annotated with its least square root
     (residue 1 stays bare), then the count.
 
     The root printed for residue 4 of modulus 33 follows the archived
     listing (see ANNEX2_ROOT_OVERRIDES).
     """
-    lo = as_modulus(lo)
-    hi = dense_modulus(hi)
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     lines = []
-    for n in range(lo, hi + 1, 2):
+    for n in range(3, 52, 2):
         half = (n - 1) // 2
         parts = []
         for y, root in residue_details(n):
@@ -227,23 +222,20 @@ def render_annex2(lo: int = 3, hi: int = 51) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_annex1(n: int = 175) -> str:
-    """The square-collision listing for n: couples (a, b) with equal
+def render_annex1() -> str:
+    """The square-collision listing of 175: couples (a, b) with equal
     squares ascending by a, ANNEX1_PAIRS_PER_LINE to a row, then the
     zero-square roots of the small half."""
-    n = as_modulus(n)
+    n = 175
     pairs = collision_pairs(n)
     lines = []
     for i in range(0, len(pairs), ANNEX1_PAIRS_PER_LINE):
         end = i + ANNEX1_PAIRS_PER_LINE
         text = ", ".join(f"({p.a},{p.b})" for p in pairs[i:end])
         lines.append(text + ("." if end >= len(pairs) else ","))
-    if not pairs:
-        lines.append("no squares collide.")
     half = (n - 1) // 2
     zeros = sorted(z for z in zero_square_roots(n) if z <= half)
-    shown = ", ".join(map(str, zeros)) if zeros else "none"
-    lines += ["", f"zero squares in [1, {half}]: {shown}"]
+    lines += ["", f"zero squares in [1, {half}]: {', '.join(map(str, zeros))}"]
     return "\n".join(lines) + "\n"
 
 

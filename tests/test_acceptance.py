@@ -82,7 +82,7 @@ def criterion(num, desc):
 def test_c01_annex2_golden_reproduction():
     with criterion(1, "annex 2 listing regenerated byte-identically (3..51)"):
         t0 = time.perf_counter()
-        doc = render_annex2(3, 51)
+        doc = render_annex2()
         elapsed = time.perf_counter() - t0
         assert doc == load_fixture("annex2_golden.txt")
         assert len(doc.splitlines()) == 25
@@ -251,6 +251,10 @@ def test_c10_table_rendering():
                 for b in labels:
                     assert row[col[p - b]] == p - row[col[b]], (p, ordering)
             if ordering is Ordering.NATURAL or p % 4 == 3:
-                # here reversing the columns complements each row visually
+                # Reversing the label order complements it in natural order
+                # and, residues first, for p = 3 (mod 4), where negation swaps
+                # the residue and non-residue blocks; there reversing the
+                # columns complements each row visually.
+                assert [p - b for b in reversed(labels)] == labels
                 for row in rows:
                     assert row[::-1] == [p - v for v in row], (p, ordering)

@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -466,6 +468,26 @@ class TestPlumbing:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["pairs", "199999999"],
+        ["census", "199999999", "--details"],
+        ["laws", "--law", "L1", "--from", "3", "--to", "2147483647"],
+    ], ids=["pairs", "census", "laws"])
+    def test_out_of_memory_is_one_line(self, argv):
+        # Each command runs out of a 400 MB address space, set in a child
+        # process so that the limit binds nothing else.
+        pytest.importorskip("resource")
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
+            "from qrcensus.cli import main; "
+            f"sys.exit(main({argv!r}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 1
+        assert proc.stderr == f"qrcensus {argv[0]}: error: out of memory\n"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -15,13 +15,22 @@ import qrcensus  # noqa: F401  (the tracer patches after the package import)
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _patches():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for module, attr, *_ in tracer.PATCHES]
+    return tracer
 
 
-@pytest.mark.parametrize("module, attr", _patches())
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, *_ in _tracer().PATCHES])
 def test_traced_entry_point_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_tracer_installs():
+    # Install raises TracerError for any entry point it cannot wrap.
+    tracer = _tracer().Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

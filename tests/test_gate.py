@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qrcensus.census  # noqa: F401  (the package binds the name to the function)
-from qrcensus import kernel, redundancy, report
+from qrcensus import kernel, redundancy
 from qrcensus.census import census, tallies
 from qrcensus.cli import main
 from qrcensus.laws import check_law, classify, sweep
@@ -22,7 +22,6 @@ def no_census_work(monkeypatch):
 
     for module in (sys.modules["qrcensus.census"], redundancy, kernel):
         monkeypatch.setattr(module, "factorize", refuse)
-    monkeypatch.setattr(report, "residue_details", refuse)
 
 
 @pytest.mark.parametrize("call", [
@@ -32,9 +31,7 @@ def no_census_work(monkeypatch):
     lambda: check_law("L2", p=M61),
     lambda: redundancy.zero_square_roots(M61),
     lambda: sweep(3, M61),
-    lambda: report.render_annex2(3, M61),
-], ids=["tallies", "census", "classify", "check_law", "zero_square_roots", "sweep",
-        "render_annex2"])
+], ids=["tallies", "census", "classify", "check_law", "zero_square_roots", "sweep"])
 def test_refused_before_census_work(no_census_work, call):
     with pytest.raises(ValueError, match=r"n < 2\*\*31"):
         call()

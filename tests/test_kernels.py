@@ -23,8 +23,8 @@ from qrcensus.modmath import factorize
 
 @functools.cache
 def _walked(lo, hi):
-    """r_b by the pure walk, one modulus at a time."""
-    return _purekernel.small_residue_counts(lo, hi)
+    """r_b by the selected backend's walk, one modulus at a time."""
+    return kernel._impl.small_residue_counts(lo, hi)
 
 
 def test_a_backend_was_selected():
@@ -68,6 +68,10 @@ def test_crt_counts_match_the_walk():
         for a, b in _chunk_ranges(3, 20001, c):
             assert kernel.small_residue_counts(a, b) == ref[(a - 3) // 2 : (b - 1) // 2], (a, b)
     assert kernel.small_residue_counts(999001, 1000001) == _walked(999001, 1000001)
+    # test_backends_agree_pairwise holds the selected backend's walk to the
+    # pure one; one short window here checks the CRT against the pure walk.
+    assert kernel.small_residue_counts(999001, 999041) == _purekernel.small_residue_counts(
+        999001, 999041)
     for n in (3**12, 5**8, 9 * 25 * 49, 3 * 5 * 7 * 11 * 13 * 17, 3**5 * 5**3):
         assert kernel.small_residue_counts(n, n) == _purekernel.small_residue_counts(n, n), n
 

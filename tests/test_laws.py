@@ -344,11 +344,9 @@ class TestRecurrence:
                 m += 1
 
     def test_rejects_4k3_primes_other_than_3(self):
-        with pytest.raises(ValueError):
-            rb_prime_power_predicted(7, 2)
-        with pytest.raises(ValueError):
-            rb_prime_power_predicted(11, 1)
-        with pytest.raises(ValueError):
-            rb_prime_power_predicted(15, 1)  # composite
-        with pytest.raises(ValueError):
+        for p in (7, 11, 15):  # 15 is composite
+            text = f"recurrence needs a prime p = 1 (mod 4) or p = 3, got {p}"
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                rb_prime_power_predicted(p, 2 if p == 7 else 1)
+        with pytest.raises(ValueError, match=r"^exponent must be >= 0, got -1$"):
             rb_prime_power_predicted(5, -1)
