@@ -203,14 +203,15 @@ def _cmd_classify(args, out):
 
 def _cmd_sweep(args, out):
     mode = ThresholdMode(args.mode)
-    if args.format == "csv":
-        out.write("n\n")
-        emit = lambda n: out.write(f"{n}\n")
-    else:
-        emit = lambda n: out.write(json.dumps({"counterexample": n}) + "\n")
+    csv = args.format == "csv"
+    # The CSV header goes out with the first row, or at the end, so that a
+    # range sweep() rejects prints nothing.
+    header = "n\n" if csv else ""
 
     def on_ce(n):
-        emit(n)
+        nonlocal header
+        out.write(header + (f"{n}\n" if csv else json.dumps({"counterexample": n}) + "\n"))
+        header = ""
         out.flush()
 
     outcome = sweep(
@@ -222,7 +223,9 @@ def _cmd_sweep(args, out):
         resume=args.resume,
         on_counterexample=on_ce,
     )
-    if args.format == "json":
+    if csv:
+        out.write(header)
+    else:
         out.write(json.dumps({
             "lo": outcome.lo,
             "hi": outcome.hi,
@@ -255,8 +258,8 @@ def _cmd_laws(args, out):
     csv = args.format == "csv"
     violations = 0
     checked = 0
-    if csv:
-        out.write("law,params,lhs,rhs,holds,rel_error\n")
+    # As in _cmd_sweep: no header before qualifying_params has checked hi.
+    header = "law,params,lhs,rhs,holds,rel_error\n" if csv else ""
     for law_id in law_ids:
         t0 = time.perf_counter()
         before = checked
@@ -267,12 +270,15 @@ def _cmd_laws(args, out):
                 violations += 1
             if csv:
                 ptxt = ";".join(f"{k}={v}" for k, v in rep.params)
-                out.write(f"{rep.law_id},{ptxt},{_num(rep.lhs, csv)},{_num(rep.rhs, csv)},"
-                          f"{_num(rep.holds, csv)},{_num(rep.rel_error, csv)}\n")
+                out.write(f"{header}{rep.law_id},{ptxt},{_num(rep.lhs, csv)},"
+                          f"{_num(rep.rhs, csv)},{_num(rep.holds, csv)},"
+                          f"{_num(rep.rel_error, csv)}\n")
+                header = ""
             else:
                 out.write(_report_line(rep))
         _diag(json.dumps({"law": law_id, "reports": checked - before,
                           "seconds": round(time.perf_counter() - t0, 6)}))
+    out.write(header)
     _diag(f"laws: {checked} reports, {violations} violations")
     return EXIT_LAW_VIOLATION if violations else EXIT_OK
 
@@ -353,6 +359,28 @@ _COMMANDS = {
 }
 
 
+class _Output:
+    """--output PATH, created or truncated at its first write: a command
+    that fails its checks leaves an existing file as it was."""
+
+    def __init__(self, path):
+        self._path = path
+        self._fh = None
+
+    def write(self, text):
+        if self._fh is None:
+            self._fh = open(self._path, "w", encoding="utf-8")
+        return self._fh.write(text)
+
+    def flush(self):
+        if self._fh is not None:
+            self._fh.flush()
+
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
+
+
 def _resume_hint(args):
     checkpoint = getattr(args, "checkpoint", None)
     return f"; resume from checkpoint {checkpoint}" if checkpoint else ""
@@ -366,13 +394,11 @@ def main(argv=None) -> int:
     handler, modules = _COMMANDS[args.command]
     for module in modules:
         _bind(module)
-    out = sys.stdout
-    opened = False
+    out = _Output(args.output) if args.output and args.output != "-" else sys.stdout
     try:
-        if args.output and args.output != "-":
-            out = open(args.output, "w", encoding="utf-8")
-            opened = True
-        return handler(args, out)
+        code = handler(args, out)
+        out.write("")  # a run that wrote nothing still leaves an empty file
+        return code
     except ValueError as exc:
         _diag(f"qrcensus {args.command}: error: {exc}")
         return EXIT_USAGE
@@ -394,7 +420,7 @@ def main(argv=None) -> int:
         _diag(f"qrcensus {args.command}: {exc}{_resume_hint(args)}")
         return EXIT_IO
     finally:
-        if opened:
+        if isinstance(out, _Output):
             out.close()
 
 

@@ -192,14 +192,6 @@ def _prime_powers(lo, hi):
         yield p, 1
 
 
-def _prime_pairs(lo, hi):
-    # p < q are odd primes with lo <= pq <= hi, so p <= isqrt(hi) and q
-    # runs over the window [max(p + 2, ceil(lo/p)), hi // p].
-    for p in _primes_between(3, math.isqrt(hi)):
-        for q in _primes_between(max(p + 2, -(-lo // p)), hi // p):
-            yield p, q
-
-
 def _iroot(x, k):
     """floor(x ** (1/k)) for x >= 0, exactly."""
     r = round(x ** (1 / k))
@@ -244,7 +236,10 @@ _PRIME = _Family(("p",), _prime_shape, lambda p: p,
 _PRIME_POWER = _Family(("p", "k"), _power_shape, lambda p, k: p**k, _prime_powers)
 _PRODUCT = _Family(("p", "q", "m", "k"), _product_shape,
                    lambda p, q, m, k: p**m * q**k, _prime_products)
-_SEMIPRIME = _Family(("p", "q"), _semiprime_shape, lambda p, q: p * q, _prime_pairs)
+# The semiprimes p*q are the products p**m * q**k with m = k = 1.
+_SEMIPRIME = _Family(("p", "q"), _semiprime_shape, lambda p, q: p * q,
+                     lambda lo, hi: ((p, q) for p, q, m, k in _prime_products(lo, hi)
+                                     if m == k == 1))
 _CLASS_PAIR = _Family(("a", "b"), lambda law, a, b: (a, b), None,
                       lambda lo, hi: ((3, 5), (3, 7), (5, 7)))
 
@@ -445,9 +440,7 @@ def rb_prime_power_predicted(p: int, m: int) -> int:
 # Range sweep
 
 
-def _scan_chunk(args):
-    lo, hi, mode_value = args
-    mode = ThresholdMode(mode_value)
+def _scan_chunk(lo, hi, mode):
     counts = kernel.small_residue_counts(lo, hi)
     bad = []
     n = lo
@@ -587,14 +580,13 @@ def sweep(
     checkpoint: Optional[str] = None,
     *,
     resume: bool = False,
-    chunk_size: int = DEFAULT_CHUNK,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     on_counterexample: Optional[Callable] = None,
 ) -> SweepOutcome:
     """Classify every odd n in [lo, hi]; collect the n where verdict and
     oracle disagree, ascending regardless of worker scheduling.
 
-    The range is cut into contiguous chunks of at most chunk_size moduli.
+    The range is cut into contiguous chunks of at most DEFAULT_CHUNK moduli,
+    read when sweep is called, like DEFAULT_CHECKPOINT_EVERY.
     With workers > 1, clamped to the usable CPUs, the calling process scans
     chunks beside a pool of workers - 1 processes.  workers=1, a range that
     fits one chunk, and one of fewer walk steps ((n-1)/2 per modulus) than
@@ -605,7 +597,8 @@ def sweep(
     order too, and the outcome's jobs counts the processes that scanned,
     the caller included.
     With a checkpoint path, progress is persisted atomically (temp file +
-    rename) every checkpoint_every moduli, and once more, for the merged
+    rename) by the merge of a chunk that reaches DEFAULT_CHECKPOINT_EVERY
+    moduli since the last write or ends the range, and, for the merged
     prefix, before a KeyboardInterrupt propagates or a dead pool worker
     raises WorkerLost; resume=True picks an interrupted run back up and
     rejects any checkpoint whose schema, mode or range does not match.
@@ -616,8 +609,6 @@ def sweep(
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1 or checkpoint_every < 1:
-        raise ValueError("chunk_size and checkpoint_every must be >= 1")
     if resume and not checkpoint:
         raise ValueError("resume=True needs a checkpoint path")
     # The pool forks all of its workers at the first submit, so it gets no
@@ -645,7 +636,7 @@ def sweep(
                 on_counterexample(n)
         since_checkpoint += (chunk_end + 2 - next_unscanned) // 2
         next_unscanned = chunk_end + 2
-        if checkpoint and since_checkpoint >= checkpoint_every:
+        if checkpoint and (since_checkpoint >= DEFAULT_CHECKPOINT_EVERY or chunk_end == hi):
             _write_checkpoint(checkpoint, mode, lo, hi, next_unscanned, found)
             since_checkpoint = 0
 
@@ -656,11 +647,11 @@ def sweep(
     aborts = (KeyboardInterrupt,)  # and BrokenProcessPool once a pool runs
     pool = None
     try:
-        if (workers == 1 or start + 2 * (chunk_size - 1) >= hi
+        if (workers == 1 or start + 2 * (DEFAULT_CHUNK - 1) >= hi
                 or _steps_below(hi + 2) - _steps_below(start) < _POOL_MIN_STEPS):
             workers = 1
-            for a, b in _chunk_ranges(start, hi, chunk_size):
-                merge(_scan_chunk((a, b, mode.value)), b)
+            for a, b in _chunk_ranges(start, hi, DEFAULT_CHUNK):
+                merge(_scan_chunk(a, b, mode), b)
         else:
             # Imported here: concurrent.futures (with logging and threading)
             # and multiprocessing would slow the start-up of every other
@@ -680,7 +671,7 @@ def sweep(
             # the pool the first chunks and the caller the rest, always the
             # same ones: for 3..10001 with two processes, half of the steps
             # each.
-            chunks = _chunk_ranges(start, hi, chunk_size, workers)
+            chunks = _chunk_ranges(start, hi, DEFAULT_CHUNK, workers)
             window = 2 * (workers - 1)
             pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_ignore_interrupts)
             inflight = {}  # future -> (chunk index, chunk end)
@@ -698,13 +689,13 @@ def sweep(
 
             for i, (a, b) in enumerate(chunks):
                 if len(inflight) < window and b < hi:
-                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                    inflight[pool.submit(_scan_chunk, a, b, mode)] = i, b
                 elif len(results) < window or b == hi:
-                    results[i] = _scan_chunk((a, b, mode.value)), b
+                    results[i] = _scan_chunk(a, b, mode), b
                     collect([fut for fut in inflight if fut.done()])
                 else:
                     collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
-                    inflight[pool.submit(_scan_chunk, (a, b, mode.value))] = i, b
+                    inflight[pool.submit(_scan_chunk, a, b, mode)] = i, b
             while inflight:
                 collect(wait(inflight, return_when=FIRST_COMPLETED)[0])
     except aborts as exc:
@@ -723,8 +714,6 @@ def sweep(
             # run there are none.
             pool.shutdown(cancel_futures=True)
 
-    if checkpoint:
-        _write_checkpoint(checkpoint, mode, lo, hi, hi + 2, found)
     return SweepOutcome(
         lo=lo,
         hi=hi,

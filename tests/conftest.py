@@ -29,3 +29,17 @@ def _backends():
 def backend(request):
     """Each available kernel backend in turn."""
     return request.param
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """small_chunks(size, every=4096) sets the chunk size and the checkpoint
+    cadence that laws.sweep reads when it is called: small values run the
+    merge, pool and checkpoint logic on short ranges."""
+    from qrcensus import laws
+
+    def set_sizes(size, every=laws.DEFAULT_CHECKPOINT_EVERY):
+        monkeypatch.setattr(laws, "DEFAULT_CHUNK", size)
+        monkeypatch.setattr(laws, "DEFAULT_CHECKPOINT_EVERY", every)
+
+    return set_sizes

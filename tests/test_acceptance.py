@@ -103,7 +103,7 @@ def test_c02_annex1_golden_reproduction():
         assert time.perf_counter() - t0 < 1.0
 
 
-def test_c03_hypothesis_sweep_desk_scale():
+def test_c03_hypothesis_sweep_desk_scale(small_chunks):
     with criterion(3, "corrected sweep 3..50001 finds exactly [9] in < 180s"):
         out = sweep(3, 50001, ThresholdMode.CORRECTED, workers=1)
         assert out.counterexamples == (9,)
@@ -111,8 +111,8 @@ def test_c03_hypothesis_sweep_desk_scale():
         assert out.elapsed < 180.0
         workers = min(8, os.cpu_count() or 1)
         if workers > 1:
-            par = sweep(3, 50001, ThresholdMode.CORRECTED, workers=workers,
-                        chunk_size=512)
+            small_chunks(512)
+            par = sweep(3, 50001, ThresholdMode.CORRECTED, workers=workers)
             assert par.counterexamples == (9,)
             print(f"  [backend={kernel.BACKEND}] serial {out.elapsed:.2f}s, "
                   f"{workers} workers {par.elapsed:.2f}s "

@@ -461,6 +461,45 @@ class TestPlumbing:
                                str(tmp_path / "nope" / "out.json"))
         assert code == 2 and "error" in err
 
+    # Each run fails its checks at the start; the CSV header would be the
+    # only output.  "{ck}" is a checkpoint of [3, 501].
+    @pytest.mark.parametrize("argv, expected", [
+        (("sweep", "--from", "3", "--to", "2147483649"), 1),
+        (("sweep", "--from", "4", "--to", "99"), 1),
+        (("sweep", "--from", "3", "--to", "99", "--jobs", "0"), 1),
+        (("sweep", "--from", "3", "--to", "999", "--checkpoint", "{ck}", "--resume"), 2),
+        (("laws", "--to", "2147483649"), 1),
+    ], ids=["sweep-ceiling", "sweep-even", "sweep-jobs", "sweep-resume", "laws-ceiling"])
+    def test_failed_check_writes_no_csv_header(self, capsys, tmp_path, argv, expected):
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps({"schema_version": 1, "mode": "corrected", "lo": 3,
+                                  "hi": 501, "next_unscanned": 503,
+                                  "counterexamples": [9]}))
+        argv = [a.format(ck=ck) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, out) == (expected, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--from", "3", "--to", "2147483649"),
+        ("classify", "4"),
+    ], ids=["sweep", "classify"])
+    def test_failed_check_keeps_the_output_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "keep.json"
+        target.write_bytes(b"kept\n")
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (1, "")
+        assert target.read_bytes() == b"kept\n"
+
+    def test_run_that_writes_nothing_empties_the_output_file(self, capsys, tmp_path):
+        # 15 is the only product of L9's shape up to 15, and L9 excludes it.
+        target = tmp_path / "f"
+        target.write_bytes(b"old\n")
+        code, out, _ = run_cli(capsys, "laws", "--law", "L9", "--to", "15",
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == b""
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "census", "35", "--frobnicate")
         assert code == 1

@@ -34,3 +34,15 @@ def test_tracer_installs():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+# Names the benchmark reads outside PATCHES: perfbench/child.py records the
+# sweep's chunk size, and the backend probe of perfbench/run.py the backend.
+@pytest.mark.parametrize("source, module, attr", [
+    ("child.py", "qrcensus.laws", "DEFAULT_CHUNK"),
+    ("run.py", "qrcensus.kernel", "BACKEND"),
+])
+def test_benchmark_read_resolves(source, module, attr):
+    text = (_TRACER.parent / source).read_text(encoding="utf-8")
+    assert f"{module.rsplit('.', 1)[1]}.{attr}" in text
+    assert hasattr(importlib.import_module(module), attr)

@@ -47,6 +47,19 @@ def _stop_after_writes(monkeypatch, writes):
     monkeypatch.setattr(laws, "_write_checkpoint", write)
 
 
+def _record_writes(monkeypatch):
+    """The next_unscanned of each checkpoint laws._write_checkpoint writes."""
+    real = laws._write_checkpoint
+    written = []
+
+    def write(path, mode, lo, hi, next_unscanned, counterexamples):
+        real(path, mode, lo, hi, next_unscanned, counterexamples)
+        written.append(next_unscanned)
+
+    monkeypatch.setattr(laws, "_write_checkpoint", write)
+    return written
+
+
 class TestSweepBasics:
     def test_corrected_3_51(self):
         out = sweep(3, 51, ThresholdMode.CORRECTED)
@@ -81,10 +94,10 @@ class TestSweepBasics:
             sweep(3, kernel.MAX_DENSE_MODULUS + 1, checkpoint=str(path))
         assert not path.exists()
 
-    def test_counterexamples_stream_in_order(self):
+    def test_counterexamples_stream_in_order(self, small_chunks):
         seen = []
-        out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, chunk_size=64,
-                    on_counterexample=seen.append)
+        small_chunks(64)
+        out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, on_counterexample=seen.append)
         assert seen == list(out.counterexamples) == [9, 15, 27]
 
 
@@ -188,10 +201,10 @@ def inline_pool(monkeypatch):
         def shutdown(self, wait=True, *, cancel_futures=False):
             record.shutdowns.append(cancel_futures)
 
-        def submit(self, fn, args):
+        def submit(self, fn, *args):
             record.submitted.append(args[:2])
             fut = concurrent.futures.Future()
-            fut.set_result(fn(args))
+            fut.set_result(fn(*args))
             return fut
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -199,22 +212,23 @@ def inline_pool(monkeypatch):
 
 
 class TestParallelSweep:
-    def test_workers_do_not_change_the_result(self, pool_sizes):
-        serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, chunk_size=128)
-        parallel = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=4,
-                         chunk_size=128)
+    def test_workers_do_not_change_the_result(self, pool_sizes, small_chunks):
+        small_chunks(128)
+        serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER)
+        parallel = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=4)
         assert serial.counterexamples == parallel.counterexamples
         assert serial.scanned == parallel.scanned
         assert pool_sizes == _pool(4)
 
-    def test_workers_with_callback_order(self, pool_sizes):
+    def test_workers_with_callback_order(self, pool_sizes, small_chunks):
         seen = []
-        sweep(3, 4001, ThresholdMode.FLOOR_GEQ, workers=3, chunk_size=32,
-              on_counterexample=seen.append)
+        small_chunks(32)
+        sweep(3, 4001, ThresholdMode.FLOOR_GEQ, workers=3, on_counterexample=seen.append)
         assert seen == [9, 15, 27]
         assert pool_sizes == _pool(3)
 
-    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch, pool_sizes, inline_pool):
+    def test_pool_size_clamped_to_usable_cpus(self, monkeypatch, pool_sizes, inline_pool,
+                                              small_chunks):
         cut = []
         real_cut = laws._chunk_ranges
 
@@ -226,7 +240,8 @@ class TestParallelSweep:
         monkeypatch.setattr(laws, "_chunk_ranges", recording_cut)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, workers=10**6, chunk_size=50)
+        small_chunks(50)
+        out = sweep(3, 2001, ThresholdMode.FLOOR_GEQ, workers=10**6)
         # Three usable CPUs: the caller scans beside a pool of two workers,
         # and scans at least one chunk of the pool's own cut itself, the
         # last among them.
@@ -237,12 +252,13 @@ class TestParallelSweep:
         assert out.jobs == 3
         assert out.counterexamples == (9, 15, 27)
 
-    def test_caller_and_pool_match_the_serial_run(self, pool_sizes):
+    def test_caller_and_pool_match_the_serial_run(self, pool_sizes, small_chunks):
         serial_seen, pool_seen = [], []
-        serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, chunk_size=32,
+        small_chunks(32)
+        serial = sweep(3, 4001, ThresholdMode.STRICT_QUARTER,
                        on_counterexample=serial_seen.append)
         pooled = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=2,
-                       chunk_size=32, on_counterexample=pool_seen.append)
+                       on_counterexample=pool_seen.append)
         assert pooled.counterexamples == serial.counterexamples
         assert pool_seen == serial_seen == list(serial.counterexamples)
         assert serial.jobs == 1
@@ -250,16 +266,18 @@ class TestParallelSweep:
         assert pool_sizes == _pool(2)
 
     @pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
-    def test_pool_starts_at_the_backend_threshold(self, monkeypatch, inline_pool, over):
+    def test_pool_starts_at_the_backend_threshold(self, monkeypatch, inline_pool,
+                                                  small_chunks, over):
         # The odd moduli 3..2m+1 hold m(m+1)/2 walk steps: take the largest
         # m that stays under the backend's threshold, or the next one.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(laws, "_scan_chunk", lambda args: [])
+        monkeypatch.setattr(laws, "_scan_chunk", lambda lo, hi, mode: [])
         threshold = laws._POOL_MIN_STEPS
         m = (math.isqrt(8 * threshold - 7) - 1) // 2 + over
         hi = 2 * m + 1
         assert (_steps(3, hi) >= threshold) == over
-        out = sweep(3, hi, workers=2, chunk_size=256)
+        small_chunks(256)
+        out = sweep(3, hi, workers=2)
         assert out.jobs == 1 + over
         assert inline_pool.sizes == ([1] if over else [])
 
@@ -352,24 +370,54 @@ class TestCheckpoints:
         }
         assert out.counterexamples == (9,)
 
-    def test_resume_completed_run_is_noop(self, tmp_path):
+    def test_resume_completed_run_is_noop(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.json"
         sweep(3, 501, checkpoint=str(path))
+        done = path.read_bytes()
+        written = _record_writes(monkeypatch)
         out = sweep(3, 501, checkpoint=str(path), resume=True)
         assert out.counterexamples == (9,)
         assert out.scanned == 250
+        assert written == [] and path.read_bytes() == done
 
-    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("hi, writes", [(10001, [8195, 10003]), (8193, [8195])])
+    def test_one_write_per_cadence_and_one_at_the_end(self, tmp_path, monkeypatch,
+                                                       hi, writes):
+        # Chunks of 2048 moduli: the cadence of 4096 falls after the second,
+        # which ends 3..8193 itself, so that range is written once.
+        written = _record_writes(monkeypatch)
+        sweep(3, hi, checkpoint=str(tmp_path / "sweep.json"))
+        assert written == writes
+
+    def test_chunk_and_cadence_read_at_call_time(self, tmp_path, monkeypatch, small_chunks):
+        scanned = []
+        real_scan = laws._scan_chunk
+
+        def scan(a, b, mode):
+            scanned.append((a, b))
+            return real_scan(a, b, mode)
+
+        monkeypatch.setattr(laws, "_scan_chunk", scan)
+        written = _record_writes(monkeypatch)
+        small_chunks(10, 20)
+        out = sweep(3, 101, checkpoint=str(tmp_path / "sweep.json"))
+        assert scanned == list(_moduli_cut(3, 101, 10))
+        assert written == [43, 83, 103]
+        assert out.counterexamples == (9,)
+
+    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path, monkeypatch,
+                                                        small_chunks):
         path = tmp_path / "sweep.json"
         uninterrupted = sweep(3, 3001, ThresholdMode.FLOOR_GEQ)
         _stop_after_writes(monkeypatch, 4)
+        small_chunks(100, 100)
         with pytest.raises(_Stop):
-            sweep(3, 3001, ThresholdMode.FLOOR_GEQ, checkpoint=str(path),
-                  chunk_size=100, checkpoint_every=100)
+            sweep(3, 3001, ThresholdMode.FLOOR_GEQ, checkpoint=str(path))
         partial = json.loads(path.read_text())
         assert partial["next_unscanned"] < 3002
+        small_chunks(100)
         resumed = sweep(3, 3001, ThresholdMode.FLOOR_GEQ, checkpoint=str(path),
-                        resume=True, chunk_size=100)
+                        resume=True)
         assert resumed.counterexamples == uninterrupted.counterexamples
 
     def test_resume_without_file_starts_fresh(self, tmp_path):
@@ -414,7 +462,7 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="bool"):
             sweep(3, 501, checkpoint=str(path), resume=True)
 
-    def test_fsync_before_replace_leaves_no_temp(self, tmp_path, monkeypatch):
+    def test_fsync_before_replace_leaves_no_temp(self, tmp_path, monkeypatch, small_chunks):
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -429,7 +477,8 @@ class TestCheckpoints:
         monkeypatch.setattr(laws.os, "fsync", fsync)
         monkeypatch.setattr(laws.os, "replace", replace)
         path = tmp_path / "sweep.json"
-        sweep(3, 501, checkpoint=str(path), chunk_size=50, checkpoint_every=50)
+        small_chunks(50, 50)
+        sweep(3, 501, checkpoint=str(path))
         assert calls and calls[0] == "fsync"
         assert calls == ["fsync", "replace"] * (len(calls) // 2)
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
@@ -449,20 +498,21 @@ class TestCheckpoints:
             sweep(3, 501, checkpoint=str(target))
 
     def test_parallel_interrupt_then_parallel_resume(self, tmp_path, monkeypatch,
-                                                     pool_sizes):
+                                                     pool_sizes, small_chunks):
         path = tmp_path / "sweep.json"
         uninterrupted = sweep(3, 4001, ThresholdMode.STRICT_QUARTER)
         _stop_after_writes(monkeypatch, 7)
+        small_chunks(50, 50)
         with pytest.raises(_Stop):
-            sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=3,
-                  checkpoint=str(path), chunk_size=50, checkpoint_every=50)
+            sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=3, checkpoint=str(path))
+        small_chunks(50)
         resumed = sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=3,
-                        checkpoint=str(path), resume=True, chunk_size=50)
+                        checkpoint=str(path), resume=True)
         assert resumed.counterexamples == uninterrupted.counterexamples
         assert pool_sizes == _pool(3) * 2
 
     def test_abort_checkpoint_precedes_the_pool_wait(self, tmp_path, monkeypatch,
-                                                      pool_sizes, inline_pool):
+                                                      pool_sizes, inline_pool, small_chunks):
         # The checkpoint of an interrupted pool sweep is on disk before the
         # pool waits for its running chunks, and the queued ones are cancelled.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -478,35 +528,39 @@ class TestCheckpoints:
 
         monkeypatch.setattr(laws, "_write_checkpoint", write)
         path = tmp_path / "sweep.json"
+        small_chunks(100)
         with pytest.raises(KeyboardInterrupt):
-            sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=2, chunk_size=100,
+            sweep(3, 4001, ThresholdMode.STRICT_QUARTER, workers=2,
                   checkpoint=str(path), on_counterexample=interrupt)
         assert inline_pool.sizes == [1]
         assert events == [("checkpoint", 0)]
         assert inline_pool.shutdowns == [True]
         assert json.loads(path.read_text())["next_unscanned"] == 3
 
-    def test_single_chunk_with_many_workers(self):
-        out = sweep(3, 101, workers=4, chunk_size=10_000)
+    def test_single_chunk_with_many_workers(self, small_chunks):
+        small_chunks(10_000)
+        out = sweep(3, 101, workers=4)
         assert out.counterexamples == (9,)
 
 
 class TestChunkStreaming:
     # 200,000 one-modulus chunks: held as a list they take about 25 MB.
 
-    def test_serial_sweep_does_not_hold_its_chunks(self, tmp_path, monkeypatch):
+    def test_serial_sweep_does_not_hold_its_chunks(self, tmp_path, monkeypatch,
+                                                   small_chunks):
         _stop_after_writes(monkeypatch, 1)
+        small_chunks(1, 1)
         tracemalloc.start()
         try:
             with pytest.raises(_Stop):
-                sweep(3, 400001, chunk_size=1, checkpoint_every=1,
-                      checkpoint=str(tmp_path / "sweep.json"))
+                sweep(3, 400001, checkpoint=str(tmp_path / "sweep.json"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
 
-    def test_pool_sweep_draws_chunks_as_it_submits(self, tmp_path, monkeypatch, pool_sizes):
+    def test_pool_sweep_draws_chunks_as_it_submits(self, tmp_path, monkeypatch, pool_sizes,
+                                                   small_chunks):
         drawn = 0
         real = laws._chunk_ranges
 
@@ -518,9 +572,9 @@ class TestChunkStreaming:
 
         monkeypatch.setattr(laws, "_chunk_ranges", counting)
         _stop_after_writes(monkeypatch, 1)
+        small_chunks(1, 1)
         with pytest.raises(_Stop):
-            sweep(3, 400001, workers=2, chunk_size=1, checkpoint_every=1,
-                  checkpoint=str(tmp_path / "sweep.json"))
+            sweep(3, 400001, workers=2, checkpoint=str(tmp_path / "sweep.json"))
         assert 0 < drawn < 1000
         assert pool_sizes == _pool(2)
 
