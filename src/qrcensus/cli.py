@@ -10,6 +10,8 @@ progress go to stderr so the data stream stays parseable.
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 from types import SimpleNamespace
@@ -204,14 +206,10 @@ def _cmd_classify(args, out):
 def _cmd_sweep(args, out):
     mode = ThresholdMode(args.mode)
     csv = args.format == "csv"
-    # The CSV header goes out with the first row, or at the end, so that a
-    # range sweep() rejects prints nothing.
-    header = "n\n" if csv else ""
+    out.header = "n\n" if csv else ""
 
     def on_ce(n):
-        nonlocal header
-        out.write(header + (f"{n}\n" if csv else json.dumps({"counterexample": n}) + "\n"))
-        header = ""
+        out.write(f"{n}\n" if csv else json.dumps({"counterexample": n}) + "\n")
         out.flush()
 
     outcome = sweep(
@@ -223,9 +221,7 @@ def _cmd_sweep(args, out):
         resume=args.resume,
         on_counterexample=on_ce,
     )
-    if csv:
-        out.write(header)
-    else:
+    if not csv:
         out.write(json.dumps({
             "lo": outcome.lo,
             "hi": outcome.hi,
@@ -258,8 +254,7 @@ def _cmd_laws(args, out):
     csv = args.format == "csv"
     violations = 0
     checked = 0
-    # As in _cmd_sweep: no header before qualifying_params has checked hi.
-    header = "law,params,lhs,rhs,holds,rel_error\n" if csv else ""
+    out.header = "law,params,lhs,rhs,holds,rel_error\n" if csv else ""
     for law_id in law_ids:
         t0 = time.perf_counter()
         before = checked
@@ -270,15 +265,13 @@ def _cmd_laws(args, out):
                 violations += 1
             if csv:
                 ptxt = ";".join(f"{k}={v}" for k, v in rep.params)
-                out.write(f"{header}{rep.law_id},{ptxt},{_num(rep.lhs, csv)},"
+                out.write(f"{rep.law_id},{ptxt},{_num(rep.lhs, csv)},"
                           f"{_num(rep.rhs, csv)},{_num(rep.holds, csv)},"
                           f"{_num(rep.rel_error, csv)}\n")
-                header = ""
             else:
                 out.write(_report_line(rep))
         _diag(json.dumps({"law": law_id, "reports": checked - before,
                           "seconds": round(time.perf_counter() - t0, 6)}))
-    out.write(header)
     _diag(f"laws: {checked} reports, {violations} violations")
     return EXIT_LAW_VIOLATION if violations else EXIT_OK
 
@@ -360,24 +353,33 @@ _COMMANDS = {
 
 
 class _Output:
-    """--output PATH, created or truncated at its first write: a command
-    that fails its checks leaves an existing file as it was."""
+    """The one writer of a command's data: stdout, or the file at a path
+    other than "-".  The file is opened (created if missing) before the
+    command runs, and emptied at the first write if it is a regular file
+    (not /dev/null or a FIFO), so a command that fails its checks leaves it
+    as it was.  `header` (a CSV header) goes out with the first write."""
 
     def __init__(self, path):
-        self._path = path
-        self._fh = None
+        self.header = ""
+        self._file = path and path != "-"
+        self._fh = open(path, "a", encoding="utf-8") if self._file else sys.stdout
+        self._truncate = self._file and stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)
 
     def write(self, text):
-        if self._fh is None:
-            self._fh = open(self._path, "w", encoding="utf-8")
+        if self._truncate:
+            self._fh.truncate(0)
+            self._truncate = False
+        text, self.header = self.header + text, ""
         return self._fh.write(text)
 
     def flush(self):
-        if self._fh is not None:
-            self._fh.flush()
+        self._fh.flush()
 
-    def close(self):
-        if self._fh is not None:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._file:
             self._fh.close()
 
 
@@ -394,10 +396,10 @@ def main(argv=None) -> int:
     handler, modules = _COMMANDS[args.command]
     for module in modules:
         _bind(module)
-    out = _Output(args.output) if args.output and args.output != "-" else sys.stdout
     try:
-        code = handler(args, out)
-        out.write("")  # a run that wrote nothing still leaves an empty file
+        with _Output(args.output) as out:
+            code = handler(args, out)
+            out.write("")  # a run with no rows: its CSV header, or an emptied file
         return code
     except ValueError as exc:
         _diag(f"qrcensus {args.command}: error: {exc}")
@@ -419,9 +421,6 @@ def main(argv=None) -> int:
     except globals().get("WorkerLost", ()) as exc:
         _diag(f"qrcensus {args.command}: {exc}{_resume_hint(args)}")
         return EXIT_IO
-    finally:
-        if isinstance(out, _Output):
-            out.close()
 
 
 if __name__ == "__main__":

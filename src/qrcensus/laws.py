@@ -398,9 +398,10 @@ def check_law(law_id: str, **params) -> LawReport:
 
 def qualifying_params(law_id: str, lo: int, hi: int) -> Iterator[dict]:
     """Parameter tuples whose modulus lies in [lo, hi] and whose side
-    conditions hold.  L10's three class pairs ignore the range; every other
-    law censuses its modulus, so hi must stay below the dense census
-    ceiling (ValueError before the first tuple)."""
+    conditions hold.  L10's three class pairs ignore the range unless it
+    is empty (hi < lo), which gives L10 no tuple, as it gives every law.
+    Every other law censuses its modulus, so hi must stay below the dense
+    census ceiling (ValueError before the first tuple)."""
     law_id = resolve_law_id(law_id)
     law = _CATALOGUE[law_id]
     modulus = law.family.modulus
@@ -494,6 +495,20 @@ def _ignore_interrupts():
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+@contextlib.contextmanager
+def _checkpoint_tmp(path):
+    """The temp name a checkpoint of path is written to; an OSError inside
+    removes it and becomes a CheckpointError.  The name is per process, so
+    two writers never share a half-written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CheckpointError(f"checkpoint write to {path} failed: {exc}") from exc
+
+
 def _write_checkpoint(path, mode, lo, hi, next_unscanned, counterexamples):
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -503,21 +518,15 @@ def _write_checkpoint(path, mode, lo, hi, next_unscanned, counterexamples):
         "next_unscanned": next_unscanned,
         "counterexamples": list(counterexamples),
     }
-    # Per-process temp name: two writers never share a half-written file.
     # fsync before the rename, so a crash leaves the old or the new
     # checkpoint on disk, never an empty one.
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
+    with _checkpoint_tmp(path) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise CheckpointError(f"checkpoint write to {path} failed: {exc}") from exc
 
 
 def _load_checkpoint(path, mode, lo, hi):
@@ -601,7 +610,9 @@ def sweep(
     moduli since the last write or ends the range, and, for the merged
     prefix, before a KeyboardInterrupt propagates or a dead pool worker
     raises WorkerLost; resume=True picks an interrupted run back up and
-    rejects any checkpoint whose schema, mode or range does not match.
+    rejects any checkpoint whose schema, mode or range does not match.  A
+    checkpoint path that cannot be written raises CheckpointError before
+    the first chunk is scanned.
     """
     lo = as_modulus(lo)
     hi = kernel.dense_modulus(hi)
@@ -624,6 +635,10 @@ def sweep(
     if resume and os.path.exists(checkpoint):
         start, prior = _load_checkpoint(checkpoint, mode, lo, hi)
         found = list(prior)
+    if checkpoint and start <= hi:
+        with _checkpoint_tmp(checkpoint) as tmp:
+            open(tmp, "wb").close()
+            os.remove(tmp)
 
     next_unscanned = start
     since_checkpoint = 0

@@ -179,9 +179,10 @@ class TestSweepCommand:
         assert code == 2 and "checkpoint" in err
 
     def test_unwritable_checkpoint_is_io_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "sweep", "--from", "3", "--to", "51",
-                               "--checkpoint", str(tmp_path / "nope" / "ck.json"))
-        assert code == 2 and "checkpoint" in err
+        # Checked before the first chunk, so 9 is never streamed.
+        code, out, err = run_cli(capsys, "sweep", "--from", "3", "--to", "51",
+                                 "--checkpoint", str(tmp_path / "nope" / "ck.json"))
+        assert code == 2 and "checkpoint" in err and out == ""
 
     @pytest.mark.parametrize("abort, says", [
         (KeyboardInterrupt(), "interrupted"),
@@ -452,6 +453,7 @@ class TestPlumbing:
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
+        target.write_text("x" * 1000)  # replaced, not appended to
         code, out, _ = run_cli(capsys, "census", "35", "--output", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["r_b"] == 7
@@ -460,6 +462,68 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "census", "35", "--output",
                                str(tmp_path / "nope" / "out.json"))
         assert code == 2 and "error" in err
+
+    def test_unwritable_output_fails_before_the_command_runs(self, capsys, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: calls.append(args))
+        missing = str(tmp_path / "nope" / "x")
+        code, out, err = run_cli(capsys, "sweep", "--from", "11", "--to", "60001",
+                                 "--output", missing)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("qrcensus sweep: i/o error: ")
+        code, out, err = run_cli(capsys, "laws", "--law", "L9", "--to", "15",
+                                 "--output", missing)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("qrcensus laws: i/o error: ")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("census", "35"), 0),
+        (("sweep", "--from", "3", "--to", "4001", "--format", "csv"), 3),
+    ], ids=["census", "sweep-csv"])
+    def test_output_to_dev_null(self, capsys, argv, expected):
+        # /dev/null takes no truncate, so the writer must not ask for one.
+        code, out, err = run_cli(capsys, *argv, "--output", os.devnull)
+        assert (code, out) == (expected, "") and "error" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_a_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            code, out, _ = run_cli(capsys, "sweep", "--from", "3", "--to", "51", "--mode",
+                                   "floor", "--format", "csv", "--output", str(fifo))
+            assert (code, out) == (3, "")
+            assert reader.communicate(timeout=30)[0] == b"n\n9\n15\n27\n"
+        finally:
+            reader.kill()
+            reader.wait()
+
+    # Streams whose bytes pass through the writer, in every shape it
+    # handles: streamed rows, a summary, a held-back CSV header with rows
+    # and without, and one-shot writes.
+    @pytest.mark.parametrize("argv, expected, digest", [
+        (("sweep", "--from", "3", "--to", "10001", "--mode", "strict"), 3,
+         "199c3e04813306c475172f6370ceb685164fb04a567b610dbb63d9fd03ae965b"),
+        (("sweep", "--from", "3", "--to", "10001", "--mode", "strict", "--format", "csv"), 3,
+         "90f91155905aec5198d43b6d9b6d31746154a3468b58f3b8bb1200c0867a781f"),
+        (("sweep", "--from", "3", "--to", "4001", "--mode", "floor", "--format", "csv"), 3,
+         "a7e4016b514d6b14c3e917183c2889accd7129eb352b83976c0d2fab07fe7240"),
+        (("sweep", "--from", "3", "--to", "3", "--format", "csv"), 0,
+         "a4fb621495a0122493b2203591c448903c472e306a1ede54fabad829e01075c0"),
+        (("classify", "9", "--format", "csv"), 3,
+         "f56e23bd150dd09df38729c70fc7a6e301e4ec22c059a3d7d06b667c26c151fd"),
+        (("pairs", "175", "--format", "csv"), 0,
+         "9324a742a8c41f4f04e15bdf12022c96d1b7bbfa887ef4a24143a6da2524a82a"),
+        (("laws", "--law", "L9", "--to", "15", "--format", "csv"), 0,
+         "20b9ffc2e397e42e9794b6d34d1907e941e4ab9ca07e2cf9c910c599332d35e6"),
+    ], ids=["sweep-strict-json", "sweep-strict-csv", "sweep-floor-csv",
+            "sweep-header-only", "classify-csv", "pairs-csv", "laws-header-only"])
+    def test_stream_bytes_pinned(self, capsys, argv, expected, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # Each run fails its checks at the start; the CSV header would be the
     # only output.  "{ck}" is a checkpoint of [3, 501].

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import multiprocessing
@@ -497,6 +498,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="write"):
             sweep(3, 501, checkpoint=str(target))
 
+    def test_unwritable_checkpoint_fails_before_the_first_chunk(self, tmp_path, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(laws, "_scan_chunk", lambda a, b, mode: scanned.append((a, b)))
+        target = tmp_path / "no-such-dir" / "sweep.json"
+        with pytest.raises(CheckpointError, match=f"checkpoint write to {target} failed"):
+            sweep(3, 300001, checkpoint=str(target))
+        assert scanned == []
+
     def test_parallel_interrupt_then_parallel_resume(self, tmp_path, monkeypatch,
                                                      pool_sizes, small_chunks):
         path = tmp_path / "sweep.json"
@@ -599,8 +608,10 @@ class TestAborts:
         path = str(tmp_path / "ck.json")
 
         def kill_the_pool(n):
+            # The executor may reap a worker that an earlier call killed.
             for worker in multiprocessing.active_children():
-                os.kill(worker.pid, signal.SIGKILL)
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker.pid, signal.SIGKILL)
 
         with pytest.raises(laws.WorkerLost) as lost:
             sweep(*_ABORTED, ThresholdMode.STRICT_QUARTER, workers=2,
