@@ -114,7 +114,7 @@ def predicted_prime(n: int, r_b: int, mode: ThresholdMode) -> bool:
 
 
 def classify(n, mode: ThresholdMode = ThresholdMode.CORRECTED) -> Classification:
-    n = as_modulus(n)
+    n = kernel.dense_modulus(n)
     r_b = tallies(n).r_b
     return Classification(
         n, mode, r_b, predicted_prime(n, r_b, mode), is_prime_oracle(n)
@@ -614,7 +614,7 @@ def sweep(
     checkpoint path that cannot be written raises CheckpointError before
     the first chunk is scanned.
     """
-    lo = as_modulus(lo)
+    lo = kernel.dense_modulus(lo)
     hi = kernel.dense_modulus(hi)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")

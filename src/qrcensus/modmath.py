@@ -181,10 +181,11 @@ def sieve_primes(limit: int) -> list:
 def factorize(n: int) -> dict:
     """Prime factorization {p: e} by trial division.
 
-    It runs once per modulus of a sweep (kernel.small_residue_counts) and
-    once per census (census.small_zero_roots): up to sqrt(n)/2 trial
-    divisors, against the n/2 steps of the square walk each of those makes
-    or replaces, and no table of its own.
+    It runs once per census that needs the zero-square roots
+    (census.small_zero_roots, redundancy.zero_square_roots): up to
+    sqrt(n)/2 trial divisors, against the n/2 steps of the square walk
+    that census makes, and no table of its own.  A sweep factors its
+    moduli from kernel.small_residue_counts' rolling sieve instead.
     """
     n = operator.index(n)
     if n < 1:

@@ -62,7 +62,7 @@ class WitnessCheck(NamedTuple):
 def collision_pairs(n) -> list:
     """One pair (a, min b) for each a in [2, (n-1)/2] that repeats a smaller
     value's square, ascending by a.  Primes yield the empty list."""
-    n = as_modulus(n)
+    n = dense_modulus(n)
     first = {}
     out = []
     for x, s in small_squares(n):

@@ -84,11 +84,11 @@ class TestCensusRecord:
 
     def test_tallies_are_the_kernel_counts_without_factoring(self, monkeypatch):
         def refuse(n):
-            raise AssertionError(f"tallies factored {n}")
+            raise AssertionError(f"tallies factored or sieved {n}")
 
         census_module = sys.modules["qrcensus.census"]
         monkeypatch.setattr(census_module, "factorize", refuse)
-        monkeypatch.setattr(kernel, "factorize", refuse)
+        monkeypatch.setattr(kernel, "sieve_primes", refuse)
         census_module._tallies.cache_clear()
         assert CensusTallies._fields == (
             "r_b", "n_b", "r_h", "n_h", "sum_r", "sum_n",

@@ -21,6 +21,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Every command that censuses n has the dense census range [3, 2**31), and
+# names it for a modulus on either side of it, before its parity.
+@pytest.mark.parametrize("argv, says", [
+    (["census", "1"], "modulus must be in [3, 2**31), got 1"),
+    (["classify", "1"], "modulus must be in [3, 2**31), got 1"),
+    (["classify", "-5"], "modulus must be in [3, 2**31), got -5"),
+    (["pairs", "1"], "modulus must be in [3, 2**31), got 1"),
+    (["sweep", "--from", "1", "--to", "9"], "modulus must be in [3, 2**31), got 1"),
+    (["sweep", "--from", "3", "--to", "1"], "modulus must be in [3, 2**31), got 1"),
+    (["census", str(2**62 + 1)], f"dense census supports n < 2**31, got {2**62 + 1}"),
+    (["classify", str(2**31 + 1)], f"dense census supports n < 2**31, got {2**31 + 1}"),
+])
+def test_modulus_outside_the_census_range(capsys, argv, says):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"qrcensus {argv[0]}: error: {says}\n"
+
+
 class TestCensusCommand:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "census", "35")

@@ -1,6 +1,6 @@
 """The census gate: every entry point that censuses or walks n refuses n at
 or above the dense ceiling (kernel.dense_modulus) before it factors n or,
-for a range, before its first modulus."""
+for a range, before it sieves or reaches its first modulus."""
 
 import sys
 
@@ -20,8 +20,10 @@ def no_census_work(monkeypatch):
     def refuse(n):
         raise AssertionError(f"census work on {n} ran before the census gate")
 
-    for module in (sys.modules["qrcensus.census"], redundancy, kernel):
+    for module in (sys.modules["qrcensus.census"], redundancy):
         monkeypatch.setattr(module, "factorize", refuse)
+    # A range factors its moduli from a sieve of the primes up to isqrt(hi).
+    monkeypatch.setattr(kernel, "sieve_primes", refuse)
 
 
 @pytest.mark.parametrize("call", [

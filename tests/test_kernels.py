@@ -1,6 +1,7 @@
 """Contract parity between the compiled and pure census kernels."""
 
 import functools
+import hashlib
 import inspect
 import os
 import pathlib
@@ -99,6 +100,82 @@ def test_range_counts_keep_tables_within_hi_bits(monkeypatch):
         tracemalloc.stop()
     assert counts == ref
     assert peak - held < hi // 8 + (16 << 10)
+
+
+# Windows at the edges of the range's prime sieve, which holds the odd primes
+# up to isqrt(hi), each filed at its first odd multiple of at least
+# max(lo, p*p): lo = hi on a prime, on p*p with p = isqrt(hi), and on p*q
+# with 97 <= isqrt(9991) = 99 < 103; a window far above isqrt(hi); and one
+# whose first modulus, 35 = 5 * 7, is a multiple of 7 below 7 * 7.
+@pytest.mark.parametrize("lo, hi", [
+    (10007, 10007), (101 * 101, 101 * 101), (97 * 103, 97 * 103), (1001, 1201), (35, 99),
+])
+def test_range_counts_at_the_sieve_edges(backend, monkeypatch, lo, hi):
+    monkeypatch.setattr(kernel, "_impl", backend)
+    assert kernel.small_residue_counts(lo, hi) == [
+        brute_census(n)["r_b"] for n in range(lo, hi + 1, 2)]
+
+
+def test_range_counts_walk_only_prime_powers(monkeypatch):
+    # A prime the sieve failed to pop would stay in the cofactor of n, and
+    # the CRT would still count right over that composite's table, or the
+    # walk of n itself, at the cost of a longer walk.  So every table and
+    # every walk of a range must be of a prime power.  Tables of all ones
+    # skip the walks; the other tests hold the counts.
+    walked = []
+    stand_in = types.SimpleNamespace(
+        residue_bitmap=lambda q: walked.append(q) or b"\xff" * ((q >> 3) + 1),
+        small_residue_counts=lambda a, b: walked.append(a) or [0],
+    )
+    monkeypatch.setattr(kernel, "_impl", stand_in)
+    for lo, hi in ((3, 20001), (35, 99), (1001, 1201), (999001, 1003001)):
+        walked.clear()
+        kernel.small_residue_counts(lo, hi)
+        assert [q for q in walked if len(factorize(q)) > 1] == [], (lo, hi)
+
+
+# sha256 of the comma-separated r_b of the odd n in [999001, 1003001], from
+# the compiled backend's walk, one modulus at a time.
+_NEAR_A_MILLION = "68d0b156049a2b2db251ced8a98c865a1f4f7594aa54f07e8e1bad78fef293be"
+
+
+def _digest(counts):
+    return hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
+
+
+def test_range_counts_near_a_million(backend, monkeypatch):
+    # A sweep chunk near 10**6: the sieve holds the odd primes up to 1001,
+    # and every composite takes the CRT over the backend's tables.  Where
+    # the compiled backend is built, the digest is held to its walk too.
+    lo, hi = 999001, 1003001
+    monkeypatch.setattr(kernel, "_impl", backend)
+    assert _digest(kernel.small_residue_counts(lo, hi)) == _NEAR_A_MILLION
+    if backend.BACKEND == "compiled":
+        assert _digest(_walked(lo, hi)) == _NEAR_A_MILLION
+
+
+def test_range_counts_keep_tables_within_hi_bits_at_a_high_window(monkeypatch):
+    # Far from 3, the tiling of each table to (n+1)/2 bits outweighs the
+    # kept tables: at its last doubling the table, its shifted copy and
+    # their union (below 1, 2 and 2 times (n+1)/2 bits) live beside `both`
+    # ((n+1)/2 bits), 3 hi bits, and the kept tables take at most hi bits
+    # more.  The rest is headers and the sieve, one entry per odd prime up
+    # to isqrt(hi).  Tables of all ones keep every table's size without a
+    # walk; this test holds the memory, the others the counts.
+    lo, hi = 10**6 + 1, 10**6 + 20001
+    stand_in = types.SimpleNamespace(
+        residue_bitmap=lambda q: b"\xff" * ((q >> 3) + 1),
+        small_residue_counts=lambda a, b: [0],
+    )
+    monkeypatch.setattr(kernel, "_impl", stand_in)
+    tracemalloc.start()
+    try:
+        counts = kernel.small_residue_counts(lo, hi)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == (hi - lo) // 2 + 1
+    assert peak - held < hi // 2 + (32 << 10)
 
 
 def test_range_counts_make_no_nested_kernel_calls(monkeypatch):
